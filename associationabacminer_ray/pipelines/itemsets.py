@@ -10,7 +10,7 @@ Ray Data pipeline:
        → groupby(bucket).map_groups(vectorized expansion → partial counts)
        → groupby(itemset).sum                       [exact mode]
        → or: per-bucket CMS/top-k/HLL partial blobs
-             → groupby(name[, salt]).aggregate(SketchMergeAgg)   [sketch mode]
+             → groupby(name).aggregate(SketchMergeAgg)   [sketch mode]
 
 Exact mode is the small-scale oracle (and the correctness-gate path);
 sketch mode is the 100 TB path — its shuffle moves only fixed-size
@@ -222,17 +222,73 @@ def _itemset_hash_fn(itemset_hash: str):
     return hash_strings
 
 
-def _bucket_sketch_partials_fn(conv_col: str, max_k: int,
-                               max_transaction_items: int | None, cms_width: int,
-                               cms_depth: int, topk_capacity: int, hll_p: int,
-                               num_salts: int, itemset_hash: str = "sip",
-                               conv_hash: str = "sip"):
-    """Build the map_groups fn: per conv-bucket, expand itemsets and update
-    CMS + space-saving + an HLL of conv_ids; emit serialized partial blobs.
-    ``conv_hash`` picks the HLL conv-key family — "poly" makes the
+#: the sketch-mode partial and result names, in builder order
+SKETCH_NAMES = ("cms", "topk", "hll")
+
+
+def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
+                           n_transactions: int, sizes: dict,
+                           hash_itemsets=hash_strings) -> pd.DataFrame:
+    """THE sketch-mode partial format: an ``(itemset, count)`` partial
+    and the hashes of its distinct conversations → one
+    ``(name, blob, n_transactions)`` row per ``SKETCH_NAMES`` sketch
+    (CMS + space-saving over itemsets, HLL over conversations).
+    ``sizes`` holds ``cms_width``/``cms_depth``/``topk_capacity``/``hll_p``."""
+    cms = CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"])
+    topk = SpaceSaving(capacity=sizes["topk_capacity"])
+    hll = HyperLogLog(p=sizes["hll_p"])
+    if len(partial):
+        counts = partial["count"].to_numpy()
+        cms.update_hashed(hash_itemsets(partial["itemset"]), counts)
+        topk.update(partial["itemset"].tolist(), counts)
+    hll.update_hashed(conv_hashes)
+    return pd.DataFrame({
+        "name": list(SKETCH_NAMES),
+        "blob": [cms.to_bytes(), topk.to_bytes(), hll.to_bytes()],
+        "n_transactions": np.int64(n_transactions),
+    })
+
+
+def merge_itemset_sketch_partials(partials: Dataset, sizes: dict) -> dict:
+    """Merge ``itemset_sketch_partial`` rows into
+    ``{"cms", "topk", "hll", "n_transactions"}``; empty input gives
+    fresh zero-state sketches of ``sizes``."""
+    from ..sketches import Sketch
+
+    rows = partials.groupby("name").aggregate(
+        SketchMergeAgg("blob", alias="blob"),
+        Sum("n_transactions", alias_name="n_transactions"),
+    ).take_all()
+    if not rows:
+        return {"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
+                "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
+                "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0}
+    out: dict = {row["name"]: Sketch.from_bytes(bytes(row["blob"])) for row in rows}
+    # every partial stamps its transaction count on each of its rows, so
+    # any single name's sum is the global total
+    out["n_transactions"] = int(rows[0]["n_transactions"])
+    return out
+
+
+def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 2,
+                              num_buckets: int = 64,
+                              max_transaction_items: int | None = 64,
+                              cms_width: int = 1 << 13, cms_depth: int = 4,
+                              topk_capacity: int = 4096, hll_p: int = 14,
+                              itemset_hash: str = "sip",
+                              conv_hash: str = "sip") -> dict:
+    """Sketch-mode supports: returns
+    ``{"cms": CountMinSketch, "topk": SpaceSaving, "hll": HyperLogLog,
+       "n_transactions": int}``.
+
+    Per conv-bucket partial blobs → groupby(name). Estimate any
+    itemset's support with ``cms.estimate_one(hash_string_scalar("a|b"))``
+    or read the heavy-hitter head from ``topk.top(k)``. ``conv_hash``
+    picks the HLL conv-key family — "poly" makes the
     distinct-transaction ESTIMATE SQL-derivable (see
     functions/sqlgen.windowed_sketch_sweep_events_sql)."""
-    num_salts = max(1, num_salts)
+    sizes = dict(cms_width=cms_width, cms_depth=cms_depth,
+                 topk_capacity=topk_capacity, hll_p=hll_p)
     ihash = _itemset_hash_fn(itemset_hash)
     chash = _itemset_hash_fn(conv_hash)
 
@@ -241,162 +297,10 @@ def _bucket_sketch_partials_fn(conv_col: str, max_k: int,
             group, conv_col, "item", max_k=max_k,
             max_transaction_items=max_transaction_items,
         )
-        cms = CountMinSketch(width=cms_width, depth=cms_depth)
-        topk = SpaceSaving(capacity=topk_capacity)
-        hll = HyperLogLog(p=hll_p)
-        if len(partial):
-            hashes = ihash(partial["itemset"])
-            counts = partial["count"].to_numpy()
-            cms.update_hashed(hashes, counts)
-            topk.update(partial["itemset"].tolist(), counts)
-        hll.update_hashed(chash(group[conv_col].drop_duplicates()))
-        salt = int(group["bucket"].iloc[0]) % num_salts if len(group) else 0
-        n_tx = group[conv_col].nunique()
-        return pd.DataFrame(
-            {
-                "name": ["itemset_cms", "itemset_topk", "conv_hll"],
-                "salt": np.int32(salt),
-                "blob": [cms.to_bytes(), topk.to_bytes(), hll.to_bytes()],
-                "n_transactions": np.int64(n_tx),
-            }
-        )
+        return itemset_sketch_partial(
+            partial, chash(group[conv_col].drop_duplicates()),
+            group[conv_col].nunique(), sizes, hash_itemsets=ihash)
 
-    return bucket_sketch_partials
-
-
-def item_vocab(ds: Dataset, role_col: str = "role",
-               tool_col: str = "tool") -> np.ndarray:
-    """Sorted distinct ``role=tool`` item strings (the dictionary for the
-    coded shuffle). Per-batch distinct partials; the collected side is
-    O(vocab), not O(rows)."""
-    def uniq(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"item": make_items(b, role_col,
-                                                tool_col)["item"].unique()})
-
-    parts = (ds.select_columns([role_col, tool_col])
-             .map_batches(uniq, batch_format="pandas").to_pandas())
-    return np.sort(parts["item"].unique())
-
-
-def item_pairs_coded(ds: Dataset, vocab_ref, conv_col: str = "conv_id",
-                     role_col: str = "role", tool_col: str = "tool",
-                     num_buckets: int = 64) -> Dataset:
-    """transcripts → distinct (conv_hash u64, item code i32, bucket)
-    rows: the coded pre-shuffle combiner. 16 bytes/row vs ~35 for the
-    string form — the all-to-all that dominates the general-input sketch
-    path moves ~2× fewer bytes, and the map side touches strings only
-    per unique (role, tool) combo (PERF.md #18)."""
-    import ray
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        vocab = ray.get(vocab_ref)
-        b = make_items(batch, role_col, tool_col)
-        codes = np.searchsorted(vocab, b["item"].to_numpy()).astype(np.int32)
-        conv_h = hash_strings(b[conv_col])
-        order = np.lexsort((codes, conv_h))
-        ch, cd = conv_h[order], codes[order]
-        keep = np.ones(len(ch), dtype=bool)
-        keep[1:] = (ch[1:] != ch[:-1]) | (cd[1:] != cd[:-1])
-        ch, cd = ch[keep], cd[keep]
-        return pd.DataFrame({
-            "conv_h": ch, "code": cd,
-            "bucket": (ch % np.uint64(num_buckets)).astype(np.int32)})
-
-    cols = [conv_col, role_col, tool_col]
-    return ds.select_columns(cols).map_batches(fn, batch_format="pandas")
-
-
-def _bucket_sketch_partials_coded_fn(max_k: int,
-                                     max_transaction_items: int | None,
-                                     cms_width: int, cms_depth: int,
-                                     topk_capacity: int, hll_p: int,
-                                     num_salts: int, vocab_ref,
-                                     itemset_hash: str = "sip"):
-    """Coded twin of ``_bucket_sketch_partials_fn``: same partial blobs,
-    built from (conv_h, code) rows — conv hashes come pre-computed (the
-    identical hash family the string path derives in-bucket, so HLL and
-    transaction counts match bit-for-bit) and item strings are decoded
-    from the broadcast vocab only for the few DISTINCT transactions."""
-    import ray
-
-    from ..stages.transactionize import itemset_partials_from_codes
-
-    num_salts = max(1, num_salts)
-    ihash = _itemset_hash_fn(itemset_hash)
-
-    def bucket_sketch_partials(group: pd.DataFrame) -> pd.DataFrame:
-        vocab = ray.get(vocab_ref)
-        conv_h = group["conv_h"].to_numpy().astype(np.uint64)
-        uniq_conv, conv_dense = np.unique(conv_h, return_inverse=True)
-        partial = itemset_partials_from_codes(
-            conv_dense.astype(np.int64),
-            group["code"].to_numpy().astype(np.int64), vocab,
-            max_k=max_k, max_transaction_items=max_transaction_items)
-        cms = CountMinSketch(width=cms_width, depth=cms_depth)
-        topk = SpaceSaving(capacity=topk_capacity)
-        hll = HyperLogLog(p=hll_p)
-        if len(partial):
-            hashes = ihash(partial["itemset"])
-            counts = partial["count"].to_numpy()
-            cms.update_hashed(hashes, counts)
-            topk.update(partial["itemset"].tolist(), counts)
-        hll.update_hashed(uniq_conv)
-        salt = int(group["bucket"].iloc[0]) % num_salts if len(group) else 0
-        return pd.DataFrame(
-            {
-                "name": ["itemset_cms", "itemset_topk", "conv_hll"],
-                "salt": np.int32(salt),
-                "blob": [cms.to_bytes(), topk.to_bytes(), hll.to_bytes()],
-                "n_transactions": np.int64(len(uniq_conv)),
-            }
-        )
-
-    return bucket_sketch_partials
-
-
-def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 2,
-                              num_buckets: int = 64, num_salts: int = 8,
-                              max_transaction_items: int | None = 64,
-                              cms_width: int = 1 << 13, cms_depth: int = 4,
-                              topk_capacity: int = 4096, hll_p: int = 14,
-                              two_phase: bool | None = None,
-                              coded: bool = False,
-                              itemset_hash: str = "sip",
-                              conv_hash: str = "sip") -> dict:
-    """Sketch-mode supports: returns
-    ``{"cms": CountMinSketch, "topk": SpaceSaving, "hll": HyperLogLog,
-       "n_transactions": int}``.
-
-    Two-phase salted merge: bucket partials → groupby((name, salt)) →
-    groupby(name). Estimate any itemset's support with
-    ``cms.estimate_one(hash_string_scalar("a|b"))`` or read the
-    heavy-hitter head from ``topk.top(k)``.
-
-    ``coded=True``: a vocab pass first, then the all-to-all moves
-    (conv_hash u64, item code i32) instead of strings — ~2× fewer
-    shuffled bytes, identical estimates (CMS/HLL bit-equal,
-    parity-tested). MEASURED trade-off on this corpus (short ~10-char
-    items): the vocab scan + per-batch coding costs roughly what the
-    sort saves, so string stays the default; flip to coded when item
-    strings are long (real tool names / URLs), where shuffled-byte
-    reduction grows with string length while the coding cost doesn't."""
-    import ray
-
-    if coded:
-        vocab_ref = ray.put(item_vocab(ds))
-        pairs = item_pairs_coded(ds, vocab_ref, conv_col=conv_col,
-                                 num_buckets=num_buckets)
-        fn = _bucket_sketch_partials_coded_fn(
-            max_k, max_transaction_items, cms_width, cms_depth,
-            topk_capacity, hll_p, num_salts, vocab_ref,
-            itemset_hash=itemset_hash)
-    else:
-        pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
-        fn = _bucket_sketch_partials_fn(conv_col, max_k, max_transaction_items,
-                                        cms_width, cms_depth, topk_capacity,
-                                        hll_p, num_salts,
-                                        itemset_hash=itemset_hash,
-                                        conv_hash=conv_hash)
     # Ray's sort-based exchange cost scales with INPUT BLOCK COUNT, not
     # bytes (PERF #26): the exploded pair rows inherit the read's block
     # count with collapsed block sizes, and the blob partials are 3×B
@@ -406,37 +310,12 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
     # membership is layout-independent and every blob merge on a gate
     # path is order-independent: CMS/HLL always, top-k in its exact
     # regime).
+    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
     pairs = pairs.repartition(max(32, num_buckets))
     partials = (pairs.groupby("bucket")
-                .map_groups(fn, batch_format="pandas")
+                .map_groups(bucket_sketch_partials, batch_format="pandas")
                 .repartition(8))
-    # two-phase (salted) merge only pays off when the partial count is large
-    # enough that a single reduce would bottleneck on one task
-    if two_phase is None:
-        two_phase = num_buckets >= 256
-    if two_phase:
-        partials = partials.groupby(["name", "salt"]).aggregate(
-            SketchMergeAgg("blob", alias="blob"),
-            Sum("n_transactions", alias_name="n_transactions"),
-        )
-    merged = partials.groupby("name").aggregate(
-        SketchMergeAgg("blob", alias="blob"),
-        Sum("n_transactions", alias_name="n_transactions"),
-    )
-    out: dict = {}
-    from ..sketches import Sketch
-
-    for row in merged.take_all():
-        key = {"itemset_cms": "cms", "itemset_topk": "topk", "conv_hll": "hll"}[row["name"]]
-        out[key] = Sketch.from_bytes(bytes(row["blob"]))
-        # each bucket stamps its transaction count on every name row, so any
-        # single name's sum is the global total
-        out["n_transactions"] = int(row["n_transactions"])
-    if not out:  # empty input: fresh zero-state sketches
-        out = {"cms": CountMinSketch(width=cms_width, depth=cms_depth),
-               "topk": SpaceSaving(capacity=topk_capacity),
-               "hll": HyperLogLog(p=hll_p), "n_transactions": 0}
-    return out
+    return merge_itemset_sketch_partials(partials, sizes)
 
 
 def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
@@ -465,6 +344,8 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     import ray.data as rd
 
     sketch = mode == "sketch"
+    sizes = dict(cms_width=cms_width, cms_depth=cms_depth,
+                 topk_capacity=topk_capacity, hll_p=hll_p)
 
     def process_shard(batch: pd.DataFrame) -> pd.DataFrame:
         from ..stages.transactionize import (
@@ -483,46 +364,16 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
             if not sketch:
                 frames.append(partial)
                 continue
-            cms = CountMinSketch(width=cms_width, depth=cms_depth)
-            topk = SpaceSaving(capacity=topk_capacity)
-            hll = HyperLogLog(p=hll_p)
-            if len(partial):
-                hashes = hash_strings(partial["itemset"])
-                counts = partial["count"].to_numpy()
-                cms.update_hashed(hashes, counts)
-                topk.update(partial["itemset"].tolist(), counts)
             used = np.unique(conv_codes)
-            hll.update_hashed(hash_strings(conv_vocab[used]))
-            frames.append(pd.DataFrame(
-                {
-                    "name": ["itemset_cms", "itemset_topk", "conv_hll"],
-                    "blob": [cms.to_bytes(), topk.to_bytes(), hll.to_bytes()],
-                    "n_transactions": np.int64(len(used)),
-                }
-            ))
+            frames.append(itemset_sketch_partial(
+                partial, hash_strings(conv_vocab[used]), len(used), sizes))
         return pd.concat(frames, ignore_index=True)
 
     shards = rd.from_items([{"path": p} for p in paths])
     partials = shards.map_batches(process_shard, batch_format="pandas",
                                   batch_size=1)
     if sketch:
-        merged = partials.groupby("name").aggregate(
-            SketchMergeAgg("blob", alias="blob"),
-            Sum("n_transactions", alias_name="n_transactions"),
-        )
-        out: dict = {}
-        from ..sketches import Sketch
-
-        for row in merged.take_all():
-            key = {"itemset_cms": "cms", "itemset_topk": "topk",
-                   "conv_hll": "hll"}[row["name"]]
-            out[key] = Sketch.from_bytes(bytes(row["blob"]))
-            out["n_transactions"] = int(row["n_transactions"])
-        if not out:
-            out = {"cms": CountMinSketch(width=cms_width, depth=cms_depth),
-                   "topk": SpaceSaving(capacity=topk_capacity),
-                   "hll": HyperLogLog(p=hll_p), "n_transactions": 0}
-        return out
+        return merge_itemset_sketch_partials(partials, sizes)
 
     extra = ["turn_count"] if with_turn_counts else None
     agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
@@ -657,8 +508,7 @@ def sketched_itemset_supports_checkpointed(
             max_transaction_items=max_transaction_items, cms_width=cms_width,
             cms_depth=cms_depth, topk_capacity=topk_capacity, hll_p=hll_p,
         )
-        return ({"cms": res["cms"], "topk": res["topk"], "hll": res["hll"]},
-                res["n_transactions"])
+        return {k: res[k] for k in SKETCH_NAMES}, res["n_transactions"]
 
     merged = run_with_checkpoint(input_files, ckpt_dir, compute_partition, config)
     merged["n_transactions"] = int(round(merged["hll"].estimate()))

@@ -37,7 +37,7 @@ QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
 def q_sketch_topk_itemsets(sf_dir: str, k: int = 50) -> pd.DataFrame:
     """Heavy-hitter itemsets with CMS-refined estimates (A1/A6 sketch mode)."""
     ds = transcripts_from_events(f"{sf_dir}/events.parquet")
-    res = sketched_itemset_supports(ds, max_k=2, num_buckets=16, num_salts=4)
+    res = sketched_itemset_supports(ds, max_k=2, num_buckets=16)
     rows = [(key, count, err) for key, count, err in res["topk"].top(k)]
     out = pd.DataFrame(rows, columns=["itemset", "est_support", "err_bound"])
     out["n_transactions"] = np.int64(res["n_transactions"])

@@ -83,6 +83,13 @@ def _lzw_decode(min_code_size: int, data: bytes, expected: int) -> bytes:
 _INTERLACE_PASSES = ((0, 8), (4, 8), (2, 4), (1, 2))
 
 
+def _color_table(b: bytes, pos: int, flags: int) -> np.ndarray:
+    n = 2 << (flags & 7)
+    if pos + 3 * n > len(b):
+        raise NotImplementedError("truncated GIF color table")
+    return np.frombuffer(b, np.uint8, count=3 * n, offset=pos).reshape(n, 3)
+
+
 def decode_gif(b: bytes) -> np.ndarray:
     """First frame of a GIF87a/89a → (h, w, 3) uint8 RGB."""
     if not (b.startswith(b"GIF87a") or b.startswith(b"GIF89a")):
@@ -93,10 +100,8 @@ def decode_gif(b: bytes) -> np.ndarray:
     pos = 13
     gct = None
     if packed & 0x80:
-        n = 2 << (packed & 7)
-        gct = np.frombuffer(b, np.uint8, count=3 * n,
-                            offset=pos).reshape(n, 3)
-        pos += 3 * n
+        gct = _color_table(b, pos, packed)
+        pos += gct.nbytes
     while pos < len(b):
         block = b[pos]
         if block == 0x21:                       # extension: skip
@@ -111,14 +116,14 @@ def decode_gif(b: bytes) -> np.ndarray:
             pos += 10
             ct = gct
             if ip & 0x80:                       # local color table
-                n = 2 << (ip & 7)
-                ct = np.frombuffer(b, np.uint8, count=3 * n,
-                                   offset=pos).reshape(n, 3)
-                pos += 3 * n
+                ct = _color_table(b, pos, ip)
+                pos += ct.nbytes
             if ct is None:
                 raise NotImplementedError("GIF frame without color table")
             if w == 0 or h == 0:
                 raise NotImplementedError("empty GIF dimensions")
+            if pos >= len(b):
+                raise NotImplementedError("truncated GIF image data")
             min_code = b[pos]
             pos += 1
             if not 2 <= min_code <= 8:

@@ -201,6 +201,13 @@ def _extend(v: int, n: int) -> int:
     return v if n == 0 or v >= (1 << (n - 1)) else v - (1 << n) + 1
 
 
+def _need(seg: bytes, n: int) -> None:
+    """A header segment shorter than the ``n`` bytes its fields (or its
+    declared length) call for is truncated."""
+    if len(seg) < n:
+        raise NotImplementedError("truncated JPEG segment")
+
+
 # ------------------------------------------------------------- decode
 def decode_jpeg(b: bytes) -> np.ndarray:
     """Baseline JPEG → (h, w, 3) uint8 RGB, or (h, w) for 1-component
@@ -224,12 +231,16 @@ def decode_jpeg(b: bytes) -> np.ndarray:
             continue
         (seglen,) = struct.unpack_from(">H", b, pos + 2)
         seg = b[pos + 4:pos + 2 + seglen]
+        if marker in (0xC4, 0xDB, 0xC0, 0xDD, 0xDA):
+            _need(seg, seglen - 2)
         if marker == 0xC4:                      # DHT (may hold several)
             p = 0
             while p < len(seg):
+                _need(seg, p + 17)
                 tc_th = seg[p]
                 bits = list(seg[p + 1:p + 17])
                 nv = sum(bits)
+                _need(seg, p + 17 + nv)
                 vals = list(seg[p + 17:p + 17 + nv])
                 tbl = _build_decode_table(bits, vals)
                 (huff_dc if tc_th >> 4 == 0 else huff_ac)[tc_th & 15] = tbl
@@ -237,6 +248,7 @@ def decode_jpeg(b: bytes) -> np.ndarray:
         elif marker == 0xDB:                    # DQT
             p = 0
             while p < len(seg):
+                _need(seg, p + 65)
                 pq_tq = seg[p]
                 if pq_tq >> 4 != 0:
                     raise NotImplementedError("16-bit JPEG quant table")
@@ -245,10 +257,12 @@ def decode_jpeg(b: bytes) -> np.ndarray:
                 qt[pq_tq & 15] = q
                 p += 65
         elif marker == 0xC0:                    # SOF0 baseline
+            _need(seg, 6)
             prec, h, w, nc = seg[0], struct.unpack_from(">H", seg, 1)[0], \
                 struct.unpack_from(">H", seg, 3)[0], seg[5]
             if prec != 8:
                 raise NotImplementedError(f"JPEG precision {prec}")
+            _need(seg, 6 + 3 * nc)
             comps = []
             for i in range(nc):
                 cid, hv, tq = seg[6 + 3 * i], seg[7 + 3 * i], seg[8 + 3 * i]
@@ -260,9 +274,12 @@ def decode_jpeg(b: bytes) -> np.ndarray:
             raise NotImplementedError(
                 f"JPEG SOF{marker - 0xC0} (only baseline SOF0 supported)")
         elif marker == 0xDD:                    # DRI
+            _need(seg, 2)
             restart = struct.unpack_from(">H", seg, 0)[0]
         elif marker == 0xDA:                    # SOS
+            _need(seg, 1)
             ns = seg[0]
+            _need(seg, 1 + 2 * ns)
             scan_comps = [(seg[1 + 2 * i], seg[2 + 2 * i])
                           for i in range(ns)]  # (comp id, Td<<4|Ta)
             scan_start = pos + 2 + seglen

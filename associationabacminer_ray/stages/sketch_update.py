@@ -190,11 +190,10 @@ class CategoricalItemSketchUpdater:
         )
 
 
-def merge_sketch_partials(partials_ds, two_phase: bool | None = None) -> dict[str, Sketch]:
+def merge_sketch_partials(partials_ds, two_phase: bool = False) -> dict[str, Sketch]:
     """Merge a Dataset of (name, salt, blob) partials into one sketch per
-    name. Two-phase (salted) when the partials carry >1 salt value."""
-    if two_phase is None:
-        two_phase = False
+    name. ``two_phase=True`` first merges per ``(name, salt)``, then per
+    name; merges are lossless, so both give the same sketches."""
     if two_phase:
         partials_ds = (
             partials_ds.groupby(["name", "salt"])

@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import pandas as pd
 import pyarrow as pa
@@ -126,6 +126,19 @@ def completed_partitions(ckpt_dir: str, cfg_hash: str,
     return out
 
 
+def merge_blobs(names: Iterable[str], blobs: Iterable[bytes],
+                merged: dict[str, Sketch]) -> None:
+    """Fold serialized sketches into ``merged`` by name, in order: the
+    first blob of a name seeds it, later ones merge in. THE blob-merge
+    loop of checkpoint resume and window queries."""
+    for name, blob in zip(names, blobs):
+        sk = Sketch.from_bytes(bytes(blob))
+        if name in merged:
+            merged[name].merge(sk)
+        else:
+            merged[name] = sk
+
+
 def run_with_checkpoint(
     input_files: Sequence[str],
     ckpt_dir: str,
@@ -142,26 +155,19 @@ def run_with_checkpoint(
     done = completed_partitions(ckpt_dir, cfg, with_inputs=True)
     merged: dict[str, Sketch] = {}
 
-    def absorb(blob_rows: pd.DataFrame) -> None:
-        for name, blob in zip(blob_rows["name"], blob_rows["blob"]):
-            sk = Sketch.from_bytes(bytes(blob))
-            if name in merged:
-                merged[name].merge(sk)
-            else:
-                merged[name] = sk
-
     for pid, path in enumerate(input_files):
         if pid in done:
             ck_path, ck_inputs = done[pid]
             # lineage check: a reordered/extended file list must NOT let a
             # positional match absorb another shard's blobs
             if ck_inputs == [str(path)]:
-                absorb(pq.read_table(ck_path).to_pandas())
+                tbl = pq.read_table(ck_path, columns=["name", "blob"]).to_pandas()
+                merge_blobs(tbl["name"], tbl["blob"], merged)
                 continue
         t0 = time.perf_counter()
         sketches, row_count = compute_partition(pid, path)
         write_partition(ckpt_dir, pid, sketches, [path], row_count, cfg,
                         wall_s=time.perf_counter() - t0)
-        absorb(pd.DataFrame({"name": list(sketches.keys()),
-                             "blob": [s.to_bytes() for s in sketches.values()]}))
+        # merge decoded copies: the caller's sketch objects stay unaliased
+        merge_blobs(sketches.keys(), [s.to_bytes() for s in sketches.values()], merged)
     return merged

@@ -29,7 +29,7 @@ import pandas as pd
 
 from ..functions.hashing import hash_strings
 from ..sketches import Sketch
-from .checkpoint import completed_partitions, config_hash, write_partition
+from .checkpoint import completed_partitions, config_hash, merge_blobs, write_partition
 
 
 def _day_id(day: datetime) -> int:
@@ -66,7 +66,7 @@ class DailySketchStore:
 
     def _build_day(self, transcripts_path, day: datetime) -> dict[str, Sketch]:
         from ..functions.windows import WindowSpec, read_window
-        from ..pipelines.itemsets import sketched_itemset_supports
+        from ..pipelines.itemsets import SKETCH_NAMES, sketched_itemset_supports
 
         spec = WindowSpec(day, day + timedelta(days=1), day, day)
         ds = read_window(transcripts_path, spec, "obs",
@@ -80,7 +80,7 @@ class DailySketchStore:
             num_buckets=16, itemset_hash=self.params["itemset_hash"],
             conv_hash=self.params["conv_hash"],
         )
-        return {"cms": res["cms"], "topk": res["topk"], "hll": res["hll"]}
+        return {k: res[k] for k in SKETCH_NAMES}
 
     def ensure_days(self, transcripts_path, start: datetime, end: datetime) -> int:
         """Compute-and-checkpoint any missing day partials in [start, end);
@@ -112,14 +112,7 @@ class DailySketchStore:
             if pid not in done:
                 raise KeyError(f"day {day:%Y-%m-%d} not built (call ensure_days)")
             tbl = pq.read_table(done[pid], columns=["name", "blob"]).to_pandas()
-            for name, blob in zip(tbl["name"], tbl["blob"]):
-                sk = Sketch.from_bytes(bytes(blob))
-                key = {"itemset_cms": "cms", "itemset_topk": "topk",
-                       "conv_hll": "hll"}.get(name, name)
-                if key in merged:
-                    merged[key].merge(sk)
-                else:
-                    merged[key] = sk
+            merge_blobs(tbl["name"], tbl["blob"], merged)
             day += timedelta(days=1)
         return merged
 

@@ -116,7 +116,7 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     res2 = None if headline_only else sketched_itemset_supports(
         rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
-        max_k=2, num_buckets=64, num_salts=8,
+        max_k=2, num_buckets=64,
     )
     if not headline_only:
         timings["itemset_supports_sketch_shuffle"] = time.perf_counter() - t0

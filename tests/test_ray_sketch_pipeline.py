@@ -88,8 +88,7 @@ class TestExactItemsets:
 
 class TestSketchedItemsets:
     def test_sketch_mode_within_bounds(self, transcripts_ds, transcripts_tbl):
-        res = P.sketched_itemset_supports(transcripts_ds, max_k=2, num_buckets=16,
-                                          num_salts=4)
+        res = P.sketched_itemset_supports(transcripts_ds, max_k=2, num_buckets=16)
         want = oracle_supports(transcripts_tbl.to_pandas(), max_k=2)
         n_tx = transcripts_tbl.to_pandas()["conv_id"].nunique()
         assert res["n_transactions"] == n_tx
@@ -108,26 +107,25 @@ class TestSketchedItemsets:
         got_head = [(k, c) for k, c, _ in res["topk"].top(20)]
         assert got_head == exact_sorted[:20]
 
-    def test_salting_is_lossless(self, transcripts_ds):
-        r1 = P.sketched_itemset_supports(transcripts_ds, num_buckets=16, num_salts=1)
-        r8 = P.sketched_itemset_supports(transcripts_ds, num_buckets=16, num_salts=8)
-        assert r1["cms"].to_bytes() == r8["cms"].to_bytes()
-        assert r1["hll"].to_bytes() == r8["hll"].to_bytes()
-        assert r1["topk"].top(50) == r8["topk"].top(50)
+    def test_partitioned_matches_shuffle(self, ray_session, tmp_path):
+        """Both sketch paths build their partials with the one builder:
+        on a conversation-sharded corpus the shuffle-free partitioned
+        pass and the bucket-shuffle pass give bit-identical CMS/HLL, the
+        same transaction count and the same top-k head."""
+        import ray.data as rd
 
-    def test_coded_shuffle_matches_string_shuffle(self, transcripts_ds):
-        """The coded all-to-all (conv_hash + item code, PERF.md #18)
-        must produce the SAME sketches as the string shuffle: CMS/HLL
-        bit-identical, top-k head identical as (item, count) sets."""
-        s = P.sketched_itemset_supports(transcripts_ds, num_buckets=16,
-                                        num_salts=4, coded=False)
-        c = P.sketched_itemset_supports(transcripts_ds, num_buckets=16,
-                                        num_salts=4, coded=True)
-        assert c["n_transactions"] == s["n_transactions"]
-        assert c["cms"].to_bytes() == s["cms"].to_bytes()
-        assert c["hll"].to_bytes() == s["hll"].to_bytes()
-        assert (sorted((k, v) for k, v, _ in c["topk"].top(100))
-                == sorted((k, v) for k, v, _ in s["topk"].top(100)))
+        from associationabacminer_ray.sources.transcripts import write_synth_transcripts
+
+        paths = write_synth_transcripts(str(tmp_path), n_convs=3000, shards=4)
+        part = P.itemset_supports_partitioned(paths, mode="sketch", max_k=2)
+        shuf = P.sketched_itemset_supports(
+            rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
+            max_k=2, num_buckets=16)
+        assert part["n_transactions"] == shuf["n_transactions"] == 3000
+        assert part["cms"].to_bytes() == shuf["cms"].to_bytes()
+        assert part["hll"].to_bytes() == shuf["hll"].to_bytes()
+        assert ([(k, c) for k, c, _ in part["topk"].top(50)]
+                == [(k, c) for k, c, _ in shuf["topk"].top(50)])
 
 
 class TestUpdaterStage:
@@ -147,6 +145,22 @@ class TestUpdaterStage:
         want_tools = df["tool"].value_counts()
         for key, count, err in merged["tool_topk"].top(5):
             assert count - err <= want_tools[key] <= count
+
+    def test_two_phase_salted_merge_is_lossless(self, transcripts_ds):
+        """Salted partials merged in two phases (per (name, salt), then
+        per name) give byte-identical sketches to the one-phase merge."""
+        specs = [
+            SketchSpec("conv_hll", "hll", "conv_id", p=14),
+            SketchSpec("tool_cms", "cms", "tool", width=1 << 10, depth=4),
+        ]
+        partials = transcripts_ds.map_batches(
+            SketchUpdater(specs, num_salts=4), batch_format="pyarrow", batch_size=512,
+        ).materialize()
+        assert partials.unique("salt") == [0, 1, 2, 3]
+        two = merge_sketch_partials(partials, two_phase=True)
+        one = merge_sketch_partials(partials, two_phase=False)
+        for name in ("conv_hll", "tool_cms"):
+            assert two[name].to_bytes() == one[name].to_bytes()
 
     def test_grouped_udafs(self, transcripts_ds, transcripts_tbl):
         import pyarrow as pa

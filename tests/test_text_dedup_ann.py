@@ -968,6 +968,25 @@ class TestJpegCodec:
         with pytest.raises(NotImplementedError):
             decode_jpeg(b"\xff\xd8\xff\xd9")
 
+    def test_truncated_segments_raise(self):
+        """A header segment shorter than its fields or its declared
+        length surfaces as NotImplementedError, never struct.error or
+        IndexError — for a hand-cut SOF0 and every prefix of a real
+        stream's headers."""
+        import struct
+
+        from associationabacminer_ray.stages.jpeg import decode_jpeg, encode_jpeg
+
+        with pytest.raises(NotImplementedError, match="truncated JPEG segment"):
+            decode_jpeg(b"\xff\xd8\xff\xc0\x00\x05\x08\x00\x10")
+        img = np.random.default_rng(16).integers(0, 256, (8, 8, 3), dtype=np.uint8)
+        jpg = encode_jpeg(img, quality=90, subsample=True, restart_interval=1)
+        sos = jpg.index(b"\xff\xda")
+        scan_start = sos + 2 + struct.unpack_from(">H", jpg, sos + 2)[0]
+        for cut in range(2, scan_start + 1):
+            with pytest.raises(NotImplementedError):
+                decode_jpeg(jpg[:cut])
+
     def test_decode_stage_routes_jpeg(self):
         from associationabacminer_ray.stages.jpeg import encode_jpeg
         from associationabacminer_ray.stages.multimodal import Decode
@@ -1053,6 +1072,20 @@ class TestGifCodec:
         with pytest.raises(NotImplementedError):      # trailer, no frame
             decode_gif(b"GIF89a"
                        + struct.pack("<HHBBB", 2, 2, 0, 0, 0) + b"\x3b")
+        # 256-entry global table declared, 5 bytes carried
+        with pytest.raises(NotImplementedError, match="color table"):
+            decode_gif(b"GIF89a" + struct.pack("<HHBBB", 2, 2, 0x87, 0, 0)
+                       + b"\x00" * 5)
+        # 2-entry local table declared, 1 byte carried
+        with pytest.raises(NotImplementedError, match="color table"):
+            decode_gif(b"GIF89a" + struct.pack("<HHBBB", 2, 2, 0, 0, 0)
+                       + struct.pack("<BHHHHB", 0x2C, 0, 0, 2, 2, 0x80)
+                       + b"\x00")
+        # stream ends right after the image descriptor: no LZW min code
+        with pytest.raises(NotImplementedError, match="image data"):
+            decode_gif(b"GIF89a" + struct.pack("<HHBBB", 2, 2, 0x80, 0, 0)
+                       + b"\x00" * 6
+                       + struct.pack("<BHHHHB", 0x2C, 0, 0, 2, 2, 0))
 
     def test_decode_stage_routes_gif(self):
         from associationabacminer_ray.stages.gif import encode_gif
