@@ -32,12 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-METRICS = ("cscore", "fbeta", "product", "l_dist", "lift", "confidence",
-           "harmonic_mean", "arithmetic_mean", "arithmetic_mean_wsc",
-           "product_ref", "Qrul_count", "Qrul_count1", "Qrul_count_i",
-           "Qrul_count1_i", "Qrul_freq", "Qrul_freq1", "Qrul_freq_i",
-           "Qrul_freq1_i", "l_dist_ref")
-
 # metrics where SMALLER is better (reference: l_dist minimized,
 # src/EnvAbacRuleMiner.py:109-119)
 MINIMIZED_METRICS = frozenset({"l_dist", "l_dist_ref"})
@@ -232,12 +226,3 @@ def score_columns(df, n_transactions: int, beta: float = 1.0,
     df["wsc"] = wsc(df["n_antecedent"], df["n_consequent"])
     df = reference_score_family(df, n_transactions, beta, cov_override=cov)
     return df
-
-
-def rank_key(metric: str):
-    """(ascending?, tie-break) for a metric — l_dist is minimized, ties
-    break on fewer constraints then lexicographic rule id
-    (src/EnvAbacRuleMiner.py:107-122)."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    return metric in MINIMIZED_METRICS

@@ -77,13 +77,3 @@ def read_window(path: str, spec: WindowSpec, which: str = "obs",
     else:
         raise ValueError(f"unknown window part {which!r}")
     return rd.read_parquet(path, columns=columns, filter=expr)
-
-
-def add_tumbling_window_id(batch: pa.Table, width_hours: int = 24,
-                           ts_col: str = "ts", out_col: str = "window_id") -> pa.Table:
-    """Derived tumbling-window id column (epoch-bucketed), for
-    single-pass all-windows aggregation."""
-    us = pc.cast(batch[ts_col], pa.int64())
-    width_us = width_hours * 3_600_000_000
-    wid = pc.cast(pc.floor(pc.divide(us, float(width_us))), pa.int64())
-    return batch.append_column(out_col, wid)

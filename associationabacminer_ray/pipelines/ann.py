@@ -252,12 +252,6 @@ class _HyperplanePartial:
              "embedding": np.repeat(batch["embedding"].to_numpy(), n_tables)})
 
 
-def embedding_near_dups(sf_dir: str, threshold: float = 0.9, n_bits: int = 8,
-                        n_tables: int = 4, seed: int = 13) -> pd.DataFrame:
-    return embedding_near_dups_ds(_embeddings(sf_dir), threshold=threshold,
-                                  n_bits=n_bits, n_tables=n_tables, seed=seed)
-
-
 def embedding_near_dups_ds(emb, threshold: float = 0.9, n_bits: int = 8,
                            n_tables: int = 4, seed: int = 13) -> pd.DataFrame:
     """Embedding-cosine near-duplicate pairs: multi-table hyperplane-LSH

@@ -7,14 +7,17 @@ encodes normalized events and runs FP-growth
 Ray Data pipeline:
 
   read → map_batches(make_items + per-batch (conv,item) dedup + bucket)
-       → groupby(bucket).map_groups(vectorized expansion → partial counts)
+       → groupby(bucket).map_groups(factorize → shared counting kernel)
        → groupby(itemset).sum                       [exact mode]
        → or: per-bucket CMS/top-k/HLL partial blobs
              → groupby(name).aggregate(SketchMergeAgg)   [sketch mode]
 
-Exact mode is the small-scale oracle (and the correctness-gate path);
-sketch mode is the 100 TB path — its shuffle moves only fixed-size
-registers.
+Conv-partitioned input skips the shuffle: ``itemset_supports_partitioned``
+reads each shard's dictionary codes and counts them with the same kernel
+(``stages.transactionize.itemset_partials_from_codes``), for any k —
+k = 3 included. Exact mode is the small-scale oracle (and the
+correctness-gate path); sketch mode is the 100 TB path — its shuffle
+moves only fixed-size registers.
 """
 
 from __future__ import annotations
@@ -176,15 +179,22 @@ def exact_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 
     # collapsed sizes; Ray's sort exchange scales with block count
     # (PERF #26/#29) — coalesce before the bucket groupby
     pairs = pairs.repartition(max(32, num_buckets))
-    tx_key = TX_COUNT_KEY if include_tx_count else None
-    partials = pairs.groupby("bucket").map_groups(
-        lambda g: itemset_partials_in_bucket(
-            g, conv_col, "item", max_k=max_k,
-            max_transaction_items=max_transaction_items,
-            tx_count_key=tx_key,
-        ),
-        batch_format="pandas",
-    )
+
+    def bucket_partials(group: pd.DataFrame) -> pd.DataFrame:
+        partial = itemset_partials_in_bucket(
+            group, conv_col, "item", max_k=max_k,
+            max_transaction_items=max_transaction_items)
+        if not include_tx_count:
+            return partial
+        # conv buckets are disjoint, so the per-bucket distinct-conversation
+        # count sums to the global n_transactions in the same shuffle as
+        # the supports — no second corpus scan
+        n_tx = pd.DataFrame({"itemset": [TX_COUNT_KEY], "k": np.int32(0),
+                             "count": np.int64(group[conv_col].nunique(dropna=False))})
+        return pd.concat([partial, n_tx], ignore_index=True)
+
+    partials = pairs.groupby("bucket").map_groups(bucket_partials,
+                                                  batch_format="pandas")
     agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
                               num_buckets=max(8, num_buckets // 2))
 
@@ -396,88 +406,6 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
         return out[keep]
 
     return agg.map_batches(finish, batch_format="pandas")
-
-
-def itemset_supports_apriori(paths: list[str], min_support: int,
-                             conv_col: str = "conv_id",
-                             max_transaction_items: int | None = 64,
-                             merge_buckets: int = 32):
-    """Apriori-pruned 3-itemset supports over conv-partitioned input.
-
-    Brute k=3 expansion is C(T,3) per transaction — the itemset-space
-    explosion the reference bounds with ``itemset_limit``. The Apriori
-    property (every subset of a frequent set is frequent) prunes it in
-    two passes:
-
-      pass 1: k ≤ 2 supports (shuffle-free partitioned pipeline)
-      pass 2: the frequent-pair hash set is broadcast (``ray.put``);
-              each shard expands ONLY triples whose three member pairs
-              are all frequent.
-
-    Returns (itemset, k, support) for k ≤ 3 with k=3 complete above
-    min_support (exactness of surviving counts tested vs brute force).
-    """
-    import itertools as _it
-
-    import ray
-
-    base = itemset_supports_partitioned(
-        paths, mode="exact", conv_col=conv_col, max_k=2,
-        max_transaction_items=max_transaction_items, min_support=1,
-        merge_buckets=merge_buckets).to_pandas()
-    freq_pairs = set(
-        base.loc[(base["k"] == 2) & (base["support"] >= min_support), "itemset"])
-    pairs_ref = ray.put(freq_pairs)
-
-    def shard_triples(batch: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-
-        from ..stages.transactionize import read_shard_codes
-
-        frequent = ray.get(pairs_ref)
-        counter: Counter = Counter()
-        for path in batch["path"]:
-            conv_codes, item_codes, item_vocab, _ = read_shard_codes(
-                path, conv_col=conv_col)
-            df = pd.DataFrame({"c": conv_codes, "i": item_codes}).drop_duplicates()
-            for _, grp in df.groupby("c", sort=False):
-                items = sorted(item_vocab[grp["i"].to_numpy()])
-                n = len(items)
-                if n < 3 or (max_transaction_items is not None
-                             and n > max_transaction_items):
-                    continue
-                # candidate triples: all three member pairs frequent
-                for a, b, c in _it.combinations(items, 3):
-                    if (f"{a}{ITEM_SEP}{b}" in frequent
-                            and f"{a}{ITEM_SEP}{c}" in frequent
-                            and f"{b}{ITEM_SEP}{c}" in frequent):
-                        counter[f"{a}{ITEM_SEP}{b}{ITEM_SEP}{c}"] += 1
-        if not counter:
-            return pd.DataFrame({"itemset": pd.Series(dtype=object),
-                                 "count": pd.Series(dtype=np.int64)})
-        return pd.DataFrame({"itemset": list(counter.keys()),
-                             "count": np.fromiter(counter.values(),
-                                                  dtype=np.int64,
-                                                  count=len(counter))})
-
-    import ray.data as rd
-
-    shards = rd.from_items([{"path": p} for p in paths])
-    partials = shards.map_batches(shard_triples, batch_format="pandas",
-                                  batch_size=1)
-    triples = sum_by_key_bucketed(partials, "itemset", "count", "support",
-                                  num_buckets=merge_buckets).to_pandas()
-    if len(triples):
-        triples = triples[triples["support"] >= min_support].copy()
-        triples["k"] = np.int32(3)
-    else:
-        triples = pd.DataFrame({"itemset": pd.Series(dtype=object),
-                                "support": pd.Series(dtype=np.int64),
-                                "k": pd.Series(dtype=np.int32)})
-    out = pd.concat(
-        [base[base["support"] >= min_support][["itemset", "k", "support"]],
-         triples[["itemset", "k", "support"]]], ignore_index=True)
-    return out
 
 
 def sketched_itemset_supports_checkpointed(

@@ -250,22 +250,17 @@ def best_rule(rules: pd.DataFrame, metric: str = "cscore") -> pd.Series:
 from .evaluate import _rule_matches as _matches_rule  # noqa: E402
 
 
-def _expand_tx_items(items_series: pd.Series, max_k: int):
-    """Per-batch itemset expansion over transaction item strings — THE
-    shared combiner for the greedy per-round counters (exact and sketch
-    modes must expand identically): value_counts folds duplicate
-    transactions first, then 1..max_k combinations weighted by
-    multiplicity."""
-    from collections import Counter
+def _batch_itemset_partials(items: pd.Series, max_k: int) -> pd.DataFrame:
+    """(itemset, k, count) over a batch of ``items`` transaction strings
+    (one conversation each) — THE shared per-round combiner of the
+    greedy's exact and sketch modes, counted by the shared kernel."""
+    from ..stages.transactionize import itemset_partials_from_codes
 
-    counter: Counter = Counter()
-    mult = items_series.value_counts()
-    for items_str, m in mult.items():
-        items = tuple(items_str.split(","))
-        for k in range(1, min(max_k, len(items)) + 1):
-            for combo in itertools.combinations(items, k):
-                counter[ITEM_SEP.join(combo)] += int(m)
-    return counter
+    flat = items.reset_index(drop=True).str.split(",").explode()
+    item_codes, vocab = pd.factorize(flat.to_numpy(), sort=True)
+    return itemset_partials_from_codes(flat.index.to_numpy(), item_codes,
+                                       np.asarray(vocab, dtype=object),
+                                       max_k=max_k, max_transaction_items=None)
 
 
 def _tx_sketch_supports(tx_ds, max_k: int = 2, cms_width: int = 1 << 13,
@@ -286,16 +281,13 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2, cms_width: int = 1 << 13,
     from ..udaf import SketchMergeAgg
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
-        counter = _expand_tx_items(batch["items"], max_k)
+        partial = _batch_itemset_partials(batch["items"], max_k)
         cms = CountMinSketch(width=cms_width, depth=cms_depth)
         topk = SpaceSaving(capacity=topk_capacity)
-        if counter:
-            keys = list(counter.keys())
-            counts = np.fromiter(counter.values(), dtype=np.int64,
-                                 count=len(counter))
-            cms.update_hashed(hash_strings(pd.Series(keys, dtype=object)),
-                              counts)
-            topk.update(keys, counts)
+        if len(partial):
+            counts = partial["count"].to_numpy()
+            cms.update_hashed(hash_strings(partial["itemset"]), counts)
+            topk.update(partial["itemset"].tolist(), counts)
         return pd.DataFrame({"name": ["cms", "topk"],
                              "blob": [cms.to_bytes(), topk.to_bytes()]})
 
@@ -370,12 +362,6 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
     have_covered = False
     selected: list[dict] = []
 
-    def batch_partials(batch: pd.DataFrame) -> pd.DataFrame:
-        counter = _expand_tx_items(batch["items"], max_k)
-        return pd.DataFrame({"itemset": list(counter.keys()),
-                             "count": np.fromiter(counter.values(), dtype=np.int64,
-                                                  count=len(counter))})
-
     for rnd in range(max_rounds):
         cur = tx
         if have_covered:
@@ -393,7 +379,9 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
             # only exchange — no (itemset, count) row shuffle at all
             supports = _tx_sketch_supports(cur, max_k=max_k)
         else:
-            partials = cur.map_batches(batch_partials, batch_format="pandas")
+            partials = cur.map_batches(
+                lambda b: _batch_itemset_partials(b["items"], max_k),
+                batch_format="pandas")
             supports = sum_by_key_bucketed(
                 partials, "itemset", "count", "support",
                 num_buckets=merge_buckets).to_pandas()

@@ -92,11 +92,6 @@ def sketch_from_bytes(data: bytes) -> Sketch:
     return Sketch.from_bytes(data)
 
 
-def pack_u64_array(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(a)
-    return struct.pack("<I", a.size) + a.tobytes()
-
-
 def unpack_array(data: bytes, offset: int, dtype) -> tuple[np.ndarray, int]:
     (n,) = struct.unpack_from("<I", data, offset)
     offset += 4

@@ -292,6 +292,10 @@ def decode_jpeg(b: bytes) -> np.ndarray:
     h, w, comps = sof["h"], sof["w"], sof["comps"]
     if h == 0 or w == 0:
         raise NotImplementedError("empty JPEG dimensions")
+    if len(comps) == 1:
+        # a one-component scan is non-interleaved (T.81 A.2.2): its MCU
+        # is one 8×8 block, whatever Hi/Vi the frame declares
+        comps[0]["h"] = comps[0]["v"] = 1
     hmax = max(c["h"] for c in comps)
     vmax = max(c["v"] for c in comps)
     mcux = -(-w // (8 * hmax))

@@ -9,18 +9,24 @@ constraint set).
 Scale design (SURVEY.md §7.3): the only row-moving shuffle is keyed by
 ``bucket = hash(conv_id) % B`` — conversations are high-cardinality and
 un-skewed, so B buckets stay balanced regardless of how hot individual
-``(role, tool)`` pairs are. Inside one bucket everything is vectorized
-pandas; itemset expansion runs once per *distinct transaction* (not per
-conversation) and multiplies by multiplicity, so Zipf-heavy duplicate
-transactions cost one combinatorial pass each. Buckets emit pre-counted
-``(itemset, k, count)`` partials, so the final ``groupby(itemset)`` only
-moves O(B × distinct itemsets) aggregate rows — never raw turns.
+``(role, tool)`` pairs are. Every supports path counts itemsets with one
+exact kernel, ``itemset_partials_from_codes``: conversations and items
+arrive as integer codes (parquet dictionary indices, or
+``pd.factorize`` inside a shuffle bucket), transactions are grouped by
+length, and each length class expands all its transactions at once
+through a cached ``combinations(range(L), k)`` index into mixed-radix
+int64 itemset codes that are summed with ``np.unique``/``bincount``.
+No hash stands in for a transaction or conversation identity. Buckets
+and shards emit pre-counted ``(itemset, k, count)`` partials, so the
+final ``groupby(itemset)`` only moves O(B × distinct itemsets) aggregate
+rows — never raw turns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
+import math
 
 import numpy as np
 import pandas as pd
@@ -63,110 +69,126 @@ def transactions_in_bucket(group: pd.DataFrame, conv_col: str = "conv_id",
     return pd.DataFrame({conv_col: tx.index, "items": tx.to_numpy()})
 
 
-def expand_itemsets(transactions: pd.Series, multiplicities: np.ndarray,
-                    max_k: int = 2, max_transaction_items: int | None = None,
-                    turn_weights: np.ndarray | None = None) -> Counter:
-    """Count all 1..max_k-item subsets across transactions.
+#: itemset codes held before they are summed (bounds the kernel's memory)
+_CHUNK_CODES = 1 << 20
 
-    ``transactions`` holds tuples of sorted distinct items; the expansion
-    runs per DISTINCT transaction and multiplies by its multiplicity.
-    ``max_transaction_items`` guards against pathological conversations
-    (a 10^4-item transaction would otherwise explode combinatorially) —
-    oversized transactions contribute their 1-itemsets only.
 
-    With ``turn_weights`` (total raw turns of the conversations sharing
-    each distinct transaction), counter values become ``(conv_count,
-    turn_count)`` pairs — turn_count is the ``all_log_entries`` analog
-    (how much raw log the itemset explains, reference
-    EnvOverassignmentCalculator.py:119 'all_log_entries').
-    """
-    counter: Counter = Counter()
-    weighted = turn_weights is not None
-    tw = turn_weights if weighted else multiplicities
-    for items, mult, w in zip(transactions, multiplicities, tw):
-        mult = int(mult)
-        inc = np.array([mult, int(w)]) if weighted else mult
-        n = len(items)
-        if max_transaction_items is not None and n > max_transaction_items:
-            for it in items:
-                counter[(it,)] += inc
-            continue
-        for k in range(1, min(max_k, n) + 1):
-            for combo in itertools.combinations(items, k):
-                counter[combo] += inc
-    return counter
+@functools.lru_cache(maxsize=None)
+def _combination_index(length: int, k: int) -> np.ndarray:
+    """Positions of every k-subset of a length-``length`` row, one
+    subset per row, in ``itertools.combinations`` order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(length), k))
+    idx = np.fromiter(flat, dtype=np.intp, count=math.comb(length, k) * k)
+    idx = idx.reshape(-1, k)
+    idx.flags.writeable = False
+    return idx
+
+
+def _sum_by_code(parts: list) -> tuple:
+    """``(codes, counts, turns)`` parts → one part: distinct codes
+    ascending with their summed counts (and turns, unless None). float64
+    sums are exact below 2**53."""
+    codes, counts, turns = zip(*parts)
+    uniq, inv = np.unique(np.concatenate(codes), return_inverse=True)
+
+    def total(weights):
+        if weights[0] is None:
+            return None
+        return np.bincount(inv, weights=np.concatenate(weights), minlength=len(uniq))
+
+    return uniq, total(counts), total(turns)
+
+
+def _add_part(parts: list, codes, counts, turns) -> None:
+    parts.append((codes, counts, turns))
+    if sum(len(p[0]) for p in parts) > _CHUNK_CODES:
+        parts[:] = [_sum_by_code(parts)]
 
 
 def itemset_partials_from_codes(conv_codes: np.ndarray, item_codes: np.ndarray,
                                 item_vocab: np.ndarray, max_k: int = 2,
                                 max_transaction_items: int | None = 64,
                                 with_turn_counts: bool = False) -> pd.DataFrame:
-    """Exact partial supports from integer codes — the zero-object hot path.
+    """Exact partial supports ``(itemset, k, count)`` from integer codes —
+    THE itemset counting kernel of every supports path.
 
-    ``conv_codes``/``item_codes`` are dense dictionary indices (parquet
-    pages already store these — no string hashing or Python objects are
-    touched until the per-DISTINCT-transaction expansion).
-    ``item_vocab[code]`` gives the item string.
+    ``conv_codes``/``item_codes`` are dense dictionary indices (one per
+    turn); ``item_vocab[code]`` gives the item string. A transaction is
+    one conversation's distinct items. Every step is exact and
+    vectorized: dedupe ``(conv, item)`` on the integer key
+    ``conv·V + item``; group transactions by length L; index each
+    length class with the cached ``combinations(range(L), k)`` array;
+    sum the mixed-radix int64 codes ``Σ itemⱼ·V^(k-1-j)``. Items are
+    ranked by string first, so an itemset's name ``a|b`` lists its items
+    in sorted order. Transactions over ``max_transaction_items`` count
+    their 1-itemsets only (a 10^4-item transaction would otherwise
+    explode combinatorially). Rows come out sorted by ``(k, code)``;
+    expansion runs in row chunks of about ``_CHUNK_CODES`` codes.
 
     ``with_turn_counts`` adds a ``turn_count`` column: Σ raw turns of the
     conversations containing each itemset — the ``all_log_entries``
     analog (EnvOverassignmentCalculator.py:119), making the Qrul_freq
     score family distinct from the count family.
     """
-    from ..functions.hashing import splitmix64
+    V = len(item_vocab)
+    if V ** max_k > np.iinfo(np.int64).max:
+        raise ValueError(f"{V} items ** max_k={max_k} overflows int64 itemset codes")
+    if len(conv_codes) == 0:
+        cols = {"itemset": pd.Series(dtype=object),
+                "k": pd.Series(dtype=np.int32),
+                "count": pd.Series(dtype=np.int64)}
+        if with_turn_counts:
+            cols["turn_count"] = pd.Series(dtype=np.int64)
+        return pd.DataFrame(cols)
+    vocab = np.asarray(item_vocab, dtype=object)
+    order = np.argsort(vocab, kind="stable")
+    vocab = vocab[order]
+    rank = np.empty(V, dtype=np.int64)
+    rank[order] = np.arange(V)
 
-    n = len(conv_codes)
-    cols = {"itemset": pd.Series(dtype=object),
-            "k": pd.Series(dtype=np.int32),
-            "count": pd.Series(dtype=np.int64)}
-    if with_turn_counts:
-        cols["turn_count"] = pd.Series(dtype=np.int64)
-    empty = pd.DataFrame(cols)
-    if n == 0:
-        return empty
-    conv_codes = conv_codes.astype(np.int64)
-    conv_turns = np.bincount(conv_codes) if with_turn_counts else None
-    V = np.int64(len(item_vocab))
-    key = conv_codes * V + item_codes.astype(np.int64)
-    skey = np.sort(key, kind="stable")
-    keep = np.ones(n, dtype=bool)
-    keep[1:] = skey[1:] != skey[:-1]
-    skey = skey[keep]
-    conv_s = skey // V
-    item_s = (skey % V).astype(np.int64)
+    conv = np.asarray(conv_codes, dtype=np.int64)
+    tx, items = np.divmod(np.unique(conv * V + rank[item_codes]), V)
+    starts = np.flatnonzero(np.r_[True, tx[1:] != tx[:-1]])
+    lengths = np.diff(np.r_[starts, len(tx)])
+    tx_turns = (np.bincount(conv)[tx[starts]].astype(np.float64)
+                if with_turn_counts else None)
 
-    starts = np.flatnonzero(np.r_[True, conv_s[1:] != conv_s[:-1]])
-    lengths = np.diff(np.r_[starts, len(conv_s)]).astype(np.int64)
-    tx_key = np.add.reduceat(splitmix64(item_s.astype(np.uint64)), starts) ^ \
-        splitmix64(lengths.astype(np.uint64))
-    uniq, first, inv, counts = np.unique(tx_key, return_index=True,
-                                         return_inverse=True, return_counts=True)
-    turn_w = None
-    if with_turn_counts:
-        # Σ raw turns of the convs sharing each distinct transaction
-        per_conv_turns = conv_turns[conv_s[starts]]
-        turn_w = np.bincount(inv, weights=per_conv_turns).astype(np.int64)
+    # 1-itemsets: every transaction's items, whatever its length
+    found = {1: [(items, np.ones(len(items)),
+                  None if tx_turns is None else np.repeat(tx_turns, lengths))]}
+    cap = max_transaction_items if max_transaction_items is not None else len(items)
+    expand = (lengths >= 2) & (lengths <= cap)
+    for length in np.unique(lengths[expand]).tolist():
+        sel = np.flatnonzero(lengths == length)
+        for k in range(2, min(max_k, length) + 1):
+            idx = _combination_index(length, k)
+            step = max(1, _CHUNK_CODES // len(idx))
+            for lo in range(0, len(sel), step):
+                chunk = sel[lo:lo + step]
+                rows = items[starts[chunk, None] + np.arange(length)]
+                codes = rows[:, idx[:, 0]]
+                for j in range(1, k):
+                    codes = codes * V + rows[:, idx[:, j]]
+                turns = (None if tx_turns is None
+                         else np.repeat(tx_turns[chunk], len(idx)))
+                _add_part(found.setdefault(k, []), codes.ravel(),
+                          np.ones(codes.size), turns)
 
-    transactions = [
-        tuple(sorted(item_vocab[item_s[s:s + ln]]))
-        for s, ln in zip(starts[first], lengths[first])
-    ]
-    counter = expand_itemsets(transactions, counts, max_k, max_transaction_items,
-                              turn_weights=turn_w)
-    if not counter:
-        return empty
-    keys = list(counter.keys())
-    out = {
-        "itemset": [ITEM_SEP.join(c) for c in keys],
-        "k": np.array([len(c) for c in keys], dtype=np.int32),
-    }
+    names, ks, counts, turns = [], [], [], []
+    for k, parts in found.items():
+        codes, cnt, trn = _sum_by_code(parts)
+        name = vocab[codes % V]
+        for _ in range(1, k):
+            codes = codes // V
+            name = vocab[codes % V] + ITEM_SEP + name
+        names.append(name)
+        ks.append(np.full(len(name), k, dtype=np.int32))
+        counts.append(cnt)
+        turns.append(trn)
+    out = {"itemset": np.concatenate(names), "k": np.concatenate(ks),
+           "count": np.concatenate(counts).astype(np.int64)}
     if with_turn_counts:
-        vals = np.array(list(counter.values()), dtype=np.int64)
-        out["count"] = vals[:, 0]
-        out["turn_count"] = vals[:, 1]
-    else:
-        out["count"] = np.fromiter(counter.values(), dtype=np.int64,
-                                   count=len(keys))
+        out["turn_count"] = np.concatenate(turns).astype(np.int64)
     return pd.DataFrame(out)
 
 
@@ -219,71 +241,13 @@ def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role
 
 def itemset_partials_in_bucket(group: pd.DataFrame, conv_col: str = "conv_id",
                                item_col: str = "item", max_k: int = 2,
-                               max_transaction_items: int | None = 64,
-                               tx_count_key: str | None = None) -> pd.DataFrame:
-    """Per-bucket exact partial supports: (itemset, k, count).
-
-    Hash-numeric hot path: rows are deduped / grouped via uint64 hashes
-    (radix-friendly lexsort + reduceat) so no per-row Python objects are
-    created; strings are only touched for the (few) DISTINCT
-    transactions during subset expansion. Distinct transactions are
-    identified by a (Σ mix(item_hash), length) key — a collision there
-    needs two different item sets with equal sum and size within one
-    bucket (~n²/2⁶⁴, negligible, and detected by the oracle tests).
-    """
-    from ..functions.hashing import splitmix64
-
-    n = len(group)
-    if n == 0:
-        return pd.DataFrame({"itemset": pd.Series(dtype=object),
-                             "k": pd.Series(dtype=np.int32),
-                             "count": pd.Series(dtype=np.int64)})
-    conv_h = hash_strings(group[conv_col])
-    item_strs = group[item_col].to_numpy()
-    item_h = hash_strings(group[item_col])
-
-    # dedupe (conv, item) pairs and group by conv — all in hash space
-    order = np.lexsort((item_h, conv_h))
-    ch, ih = conv_h[order], item_h[order]
-    keep = np.ones(n, dtype=bool)
-    keep[1:] = (ch[1:] != ch[:-1]) | (ih[1:] != ih[:-1])
-    sel = order[keep]
-    ch, ih = ch[keep], ih[keep]
-
-    starts = np.flatnonzero(np.r_[True, ch[1:] != ch[:-1]])
-    lengths = np.diff(np.r_[starts, len(ch)]).astype(np.int64)
-    tx_key = np.add.reduceat(splitmix64(ih), starts) ^ splitmix64(
-        lengths.astype(np.uint64))
-    uniq, first, counts = np.unique(tx_key, return_index=True, return_counts=True)
-
-    # expansion touches only distinct transactions; items sorted
-    # lexicographically so itemset identity matches the string oracle
-    rep_starts = starts[first]
-    rep_lens = lengths[first]
-    transactions = [
-        tuple(sorted(item_strs[sel[s:s + ln]])) for s, ln in zip(rep_starts, rep_lens)
-    ]
-    counter = expand_itemsets(transactions, counts, max_k, max_transaction_items)
-    keys = list(counter.keys())
-    itemsets = [ITEM_SEP.join(c) for c in keys]
-    ks = [len(c) for c in keys]
-    cnts = list(counter.values())
-    if tx_count_key is not None:
-        # conv buckets are disjoint in hash space, so the per-bucket
-        # distinct-conversation count sums to the global n_transactions
-        # in the same shuffle as the supports — no second corpus scan
-        # (mine_window previously paid a full distinct_conv_count pass)
-        itemsets.append(tx_count_key)
-        ks.append(0)
-        cnts.append(int(len(starts)))
-    if not itemsets:
-        return pd.DataFrame({"itemset": pd.Series(dtype=object),
-                             "k": pd.Series(dtype=np.int32),
-                             "count": pd.Series(dtype=np.int64)})
-    return pd.DataFrame(
-        {
-            "itemset": itemsets,
-            "k": np.array(ks, dtype=np.int32),
-            "count": np.array(cnts, dtype=np.int64),
-        }
-    )
+                               max_transaction_items: int | None = 64) -> pd.DataFrame:
+    """Per-bucket exact partial supports ``(itemset, k, count)``: the
+    bucket's conv and item columns are factorized to exact codes and
+    counted by ``itemset_partials_from_codes``."""
+    conv_codes, _ = pd.factorize(group[conv_col], use_na_sentinel=False)
+    item_codes, item_vocab = pd.factorize(group[item_col], sort=True)
+    return itemset_partials_from_codes(conv_codes, item_codes,
+                                       np.asarray(item_vocab, dtype=object),
+                                       max_k=max_k,
+                                       max_transaction_items=max_transaction_items)

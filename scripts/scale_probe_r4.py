@@ -42,8 +42,14 @@ LABEL_OFFSET = 10         # = label cardinality: replicas get fresh clusters
 
 def _replicate(src: str, dest_dir: str, replicas: int, offsets: dict,
                vary_text: bool = False) -> None:
-    """One parquet file per replica (resumable partitioned layout)."""
+    """One parquet file per replica (resumable partitioned layout).
+    Replicas left over from an earlier, larger run are deleted, so the
+    directory holds exactly ``replicas`` files."""
     os.makedirs(dest_dir, exist_ok=True)
+    for name in os.listdir(dest_dir):
+        if (name.startswith("replica_") and name.endswith(".parquet")
+                and int(name[len("replica_"):-len(".parquet")]) >= replicas):
+            os.remove(os.path.join(dest_dir, name))
     base = pq.read_table(src)
     cols = {c: base[c].to_numpy(zero_copy_only=False) for c in offsets}
     texts = base["text"].to_pylist() if vary_text else None

@@ -1,4 +1,4 @@
-"""Distributed rule scoring and Apriori-pruned k=3 supports."""
+"""Distributed rule scoring and partitioned k=3 supports."""
 
 import numpy as np
 import pandas as pd
@@ -6,7 +6,7 @@ import pytest
 
 from associationabacminer_ray.pipelines.itemsets import (
     exact_itemset_supports,
-    itemset_supports_apriori,
+    itemset_supports_partitioned,
 )
 from associationabacminer_ray.pipelines.rules import (
     rules_from_supports,
@@ -39,12 +39,15 @@ def test_apriori_triples_match_brute_force(ray_session, corpus):
     import ray.data as rd
 
     min_support = 5
-    apriori = itemset_supports_apriori(corpus, min_support=min_support)
+    # k = 3 on the shuffle-free partitioned path against the shuffle path
+    # (the independent itertools oracle is test_supports_k3_match_oracle)
+    partitioned = itemset_supports_partitioned(
+        corpus, mode="exact", max_k=3, min_support=min_support).to_pandas()
     brute = exact_itemset_supports(rd.read_parquet(corpus), max_k=3,
                                    num_buckets=8, min_support=min_support,
                                    max_transaction_items=64).to_pandas()
     for k in (1, 2, 3):
-        a = apriori[apriori["k"] == k].set_index("itemset")["support"].sort_index()
+        a = partitioned[partitioned["k"] == k].set_index("itemset")["support"].sort_index()
         b = brute[brute["k"] == k].set_index("itemset")["support"].sort_index()
         pd.testing.assert_series_equal(a, b, check_names=False, obj=f"k={k}")
-    assert (apriori["k"] == 3).any()  # triples actually exist in the corpus
+    assert (partitioned["k"] == 3).any()  # triples actually exist in the corpus

@@ -3,8 +3,8 @@
 Covers what the oracle gate can't randomize: the mixed-radix universe
 decode against itertools.product over arbitrary domains, the SQL/numpy
 sampling-predicate parity over arbitrary id ranges (including the
-HUGEINT-overflow region), and the shared greedy itemset expansion
-against a brute-force recount.
+HUGEINT-overflow region), and the shared itemset counting kernel (and
+the greedy's per-round use of it) against a brute-force recount.
 """
 
 import itertools
@@ -85,6 +85,24 @@ class TestSamplerParity:
         np.testing.assert_array_equal(got, want)
 
 
+def _brute_supports(transactions: dict, max_k: int, cap: int | None = None,
+                    turns: dict | None = None) -> dict:
+    """{itemset: (count, turn_count)} by itertools over each transaction's
+    sorted distinct items; over ``cap`` items → 1-itemsets only."""
+    from associationabacminer_ray.stages.transactionize import ITEM_SEP
+
+    want: dict = {}
+    for conv, items in transactions.items():
+        items = sorted(set(items))
+        top = max_k if cap is None or len(items) <= cap else 1
+        for k in range(1, min(top, len(items)) + 1):
+            for combo in itertools.combinations(items, k):
+                key = ITEM_SEP.join(combo)
+                c, t = want.get(key, (0, 0))
+                want[key] = (c + 1, t + (turns[conv] if turns else 0))
+    return want
+
+
 class TestExpandTxItems:
     @settings(max_examples=30, deadline=None)
     @given(tx=st.lists(
@@ -94,15 +112,60 @@ class TestExpandTxItems:
         min_size=1, max_size=30),
         max_k=st.integers(1, 3))
     def test_matches_bruteforce_counts(self, tx, max_k):
-        from associationabacminer_ray.pipelines.rules import _expand_tx_items
-        from associationabacminer_ray.stages.transactionize import ITEM_SEP
+        """The greedy's per-round combiner over ``items`` strings."""
+        from associationabacminer_ray.pipelines.rules import _batch_itemset_partials
 
-        got = _expand_tx_items(pd.Series(tx), max_k)
-        want: dict = {}
-        for t in tx:
-            items = tuple(t.split(","))
-            for k in range(1, min(max_k, len(items)) + 1):
-                for combo in itertools.combinations(items, k):
-                    key = ITEM_SEP.join(combo)
-                    want[key] = want.get(key, 0) + 1
-        assert dict(got) == want
+        got = _batch_itemset_partials(pd.Series(tx), max_k)
+        want = _brute_supports({i: t.split(",") for i, t in enumerate(tx)}, max_k)
+        assert dict(zip(got["itemset"], got["count"])) == {
+            key: c for key, (c, _) in want.items()}
+        assert (got["k"] == got["itemset"].str.count("\\|") + 1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 7),
+                                   st.sampled_from(["b=x", "a=y", "c=z", "a=x",
+                                                    "NONE=NONE", "d=w"])),
+                         max_size=60),
+           vocab_order=st.permutations(["b=x", "a=y", "c=z", "a=x",
+                                        "NONE=NONE", "d=w"]),
+           max_k=st.integers(1, 3),
+           cap=st.sampled_from([None, 1, 2, 3, 64]))
+    def test_kernel_matches_bruteforce(self, rows, vocab_order, max_k, cap):
+        """The shared code-space kernel: duplicate (conv, item) rows, an
+        unsorted vocabulary, empty input, k ≤ 3, transactions over the
+        cap (singles only) and exact turn counts."""
+        from associationabacminer_ray.stages.transactionize import (
+            itemset_partials_from_codes,
+        )
+
+        vocab = np.array(vocab_order, dtype=object)
+        code = {item: i for i, item in enumerate(vocab_order)}
+        conv_codes = np.array([c for c, _ in rows], dtype=np.int64)
+        item_codes = np.array([code[i] for _, i in rows], dtype=np.int64)
+        got = itemset_partials_from_codes(conv_codes, item_codes, vocab,
+                                          max_k=max_k, max_transaction_items=cap,
+                                          with_turn_counts=True)
+        transactions: dict = {}
+        turns: dict = {}
+        for c, item in rows:
+            transactions.setdefault(c, []).append(item)
+            turns[c] = turns.get(c, 0) + 1
+        want = _brute_supports(transactions, max_k, cap, turns)
+        assert list(got.columns) == ["itemset", "k", "count", "turn_count"]
+        assert dict(zip(got["itemset"], zip(got["count"], got["turn_count"]))) == want
+        assert (got["k"] == got["itemset"].str.count("\\|") + 1).all()
+        # rows sorted by (k, items)
+        keys = [(k, tuple(s.split("|"))) for k, s in zip(got["k"], got["itemset"])]
+        assert keys == sorted(keys)
+
+    def test_kernel_rejects_overflowing_codes(self):
+        import pytest
+
+        from associationabacminer_ray.stages.transactionize import (
+            itemset_partials_from_codes,
+        )
+
+        vocab = np.empty(1 << 16, dtype=object)
+        with pytest.raises(ValueError, match="overflows int64"):
+            itemset_partials_from_codes(np.zeros(1, np.int64), np.zeros(1, np.int64),
+                                        vocab, max_k=4)

@@ -890,6 +890,25 @@ class TestJpegCodec:
         assert out.shape == g.shape
         assert np.sqrt(((out.astype(float) - g) ** 2).mean()) < 12
 
+    def test_grayscale_sampling_factors_are_ignored(self):
+        """A one-component scan is non-interleaved (T.81 A.2.2): each MCU
+        is one 8×8 block whatever the frame's Hi/Vi, so a grayscale SOF0
+        declaring 2×2 sampling decodes to the same pixels as 1×1."""
+        from associationabacminer_ray.stages.jpeg import (
+            decode_jpeg,
+            encode_jpeg,
+        )
+
+        g = np.random.default_rng(8).integers(0, 256, (21, 19), np.uint8)
+        for restart in (0, 2):
+            stream = bytearray(encode_jpeg(g, quality=90, restart_interval=restart))
+            sof = stream.index(b"\xff\xc0")
+            # FFC0, Lf(2), P, Y(2), X(2), Nf, then component 1: C, HV, Tq
+            assert stream[sof + 9] == 1 and stream[sof + 11] == 0x11
+            stream[sof + 11] = 0x22
+            assert (decode_jpeg(bytes(stream))
+                    == decode_jpeg(encode_jpeg(g, quality=90))).all()
+
     def test_restart_markers_do_not_change_pixels(self):
         from associationabacminer_ray.stages.jpeg import (
             decode_jpeg,
