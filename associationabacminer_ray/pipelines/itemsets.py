@@ -22,6 +22,8 @@ moves only fixed-size registers.
 
 from __future__ import annotations
 
+from datetime import datetime, timedelta
+
 import numpy as np
 import pandas as pd
 
@@ -29,6 +31,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Sum
 
 from ..functions.hashing import hash_strings
+from ..functions.windows import ts_range
 from ..sketches import CountMinSketch, HyperLogLog, SpaceSaving
 from ..stages.transactionize import (
     ITEM_SEP,
@@ -335,7 +338,10 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
                                  cms_width: int = 1 << 13, cms_depth: int = 4,
                                  topk_capacity: int = 4096, hll_p: int = 14,
                                  merge_buckets: int = 32,
-                                 with_turn_counts: bool = False):
+                                 with_turn_counts: bool = False,
+                                 day: datetime | None = None,
+                                 itemset_hash: str = "sip",
+                                 conv_hash: str = "sip"):
     """Shuffle-free supports for conv-partitioned input.
 
     PARTITIONING ASSUMPTION (documented per the custom-operator rule): no
@@ -348,6 +354,15 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     (``exact_/sketched_itemset_supports``) exists for un-partitioned
     input.
 
+    ``day`` restricts every shard to rows with ``ts`` in
+    ``[day, day + 1 day)``, pushed into the parquet read; a transaction
+    is then one conversation's turns of that day, keyed
+    ``conv_id@YYYY-MM-DD`` (the ``state.incremental.add_conv_day`` key,
+    so one ``DailySketchStore`` day needs no shuffle). ``itemset_hash``
+    and ``conv_hash`` pick the CMS itemset-key and HLL conversation-key
+    hash families, as in ``sketched_itemset_supports``: ``"sip"``
+    (default) or the SQL-derivable ``"poly"``.
+
     mode="exact"  → Dataset (itemset, k, support)
     mode="sketch" → {"cms", "topk", "hll", "n_transactions"}
     """
@@ -356,6 +371,12 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     sketch = mode == "sketch"
     sizes = dict(cms_width=cms_width, cms_depth=cms_depth,
                  topk_capacity=topk_capacity, hll_p=hll_p)
+    ihash = _itemset_hash_fn(itemset_hash)
+    chash = _itemset_hash_fn(conv_hash)
+    if day is not None and day.time() != datetime.min.time():
+        raise ValueError(f"day must be a calendar day at midnight, got {day}")
+    day_filter = None if day is None else ts_range(day, day + timedelta(days=1))
+    conv_suffix = "" if day is None else f"@{day:%Y-%m-%d}"
 
     def process_shard(batch: pd.DataFrame) -> pd.DataFrame:
         from ..stages.transactionize import (
@@ -366,7 +387,7 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
         frames = []
         for path in batch["path"]:
             conv_codes, item_codes, item_vocab, conv_vocab = read_shard_codes(
-                path, conv_col=conv_col)
+                path, conv_col=conv_col, filters=day_filter)
             partial = itemset_partials_from_codes(
                 conv_codes, item_codes, item_vocab, max_k=max_k,
                 max_transaction_items=max_transaction_items,
@@ -376,7 +397,8 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
                 continue
             used = np.unique(conv_codes)
             frames.append(itemset_sketch_partial(
-                partial, hash_strings(conv_vocab[used]), len(used), sizes))
+                partial, chash(conv_vocab[used] + conv_suffix), len(used),
+                sizes, hash_itemsets=ihash))
         return pd.concat(frames, ignore_index=True)
 
     shards = rd.from_items([{"path": p} for p in paths])
@@ -410,29 +432,27 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
 
 def sketched_itemset_supports_checkpointed(
         input_files: list[str], ckpt_dir: str, conv_col: str = "conv_id",
-        max_k: int = 2, num_buckets: int = 64,
-        max_transaction_items: int | None = 64, cms_width: int = 1 << 15,
-        cms_depth: int = 4, topk_capacity: int = 4096, hll_p: int = 14) -> dict:
+        max_k: int = 2, max_transaction_items: int | None = 64,
+        cms_width: int = 1 << 15, cms_depth: int = 4,
+        topk_capacity: int = 4096, hll_p: int = 14) -> dict:
     """Resumable sketch-mode supports: one checkpoint partition per input
-    shard (FIXTURES §F5). A killed run resumes by loading finished
+    shard (FIXTURES §F5), each built by the shuffle-free
+    ``itemset_supports_partitioned`` (so shards are conv-partitioned,
+    as that path requires). A killed run resumes by loading finished
     shards' blobs and recomputing only the rest; merge associativity
     makes resume == fresh bit-for-bit for CMS/HLL (property-tested)."""
-    import ray.data as rd
-
     from ..state.checkpoint import run_with_checkpoint
 
     config = {
         "pipeline": "sketched_itemset_supports", "max_k": max_k,
-        "conv_col": conv_col,
-        "num_buckets": num_buckets, "max_tx": max_transaction_items,
+        "conv_col": conv_col, "max_tx": max_transaction_items,
         "cms_width": cms_width, "cms_depth": cms_depth,
         "topk_capacity": topk_capacity, "hll_p": hll_p,
     }
 
     def compute_partition(pid: int, path: str):
-        ds = rd.read_parquet(path, columns=[conv_col, "role", "tool"])
-        res = sketched_itemset_supports(
-            ds, conv_col=conv_col, max_k=max_k, num_buckets=num_buckets,
+        res = itemset_supports_partitioned(
+            [path], mode="sketch", conv_col=conv_col, max_k=max_k,
             max_transaction_items=max_transaction_items, cms_width=cms_width,
             cms_depth=cms_depth, topk_capacity=topk_capacity, hll_p=hll_p,
         )

@@ -193,15 +193,22 @@ def itemset_partials_from_codes(conv_codes: np.ndarray, item_codes: np.ndarray,
 
 
 def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role",
-                     tool_col: str = "tool"):
+                     tool_col: str = "tool", filters=None):
     """Read one parquet shard dictionary-encoded and return
     (conv_codes, item_codes, item_vocab, conv_vocab) with normalization
-    (''/null → NONE) applied at VOCAB level — O(vocab), not O(rows)."""
+    (''/null → NONE) applied at VOCAB level — O(vocab), not O(rows).
+
+    ``filters`` is a row predicate pushed into the parquet read
+    (``pq.read_table(filters=...)``), e.g. ``functions.windows.ts_range``
+    for one day; it may name columns that are not returned. Row groups
+    it excludes are skipped, and a shard with no matching row gives
+    empty codes."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
     t = pq.read_table(path, columns=[conv_col, role_col, tool_col],
-                      read_dictionary=[conv_col, role_col, tool_col])
+                      read_dictionary=[conv_col, role_col, tool_col],
+                      filters=filters)
 
     def codes_and_vocab(col):
         arr = t.column(col)

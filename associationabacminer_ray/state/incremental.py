@@ -9,6 +9,15 @@ merge of its days' blobs — O(days) blob merges instead of re-reading
 the corpus. A 30-day window stepped by 1 day costs one new day per
 step.
 
+Input contract: the transcripts source is a list of
+conversation-partitioned parquet shards — no conversation spans two
+files (``sources.transcripts.write_synth_transcripts`` and the events
+transcripts cache write them that way). A day is then built per shard
+with no shuffle: ``pipelines.itemsets.itemset_supports_partitioned``
+with ``day=`` pushes the day's ``ts`` range into each shard's parquet
+read, counts that shard's itemsets and sketches them, and only the
+per-shard blobs are merged.
+
 Transaction unit: ``(conv_id, day)`` — a conversation spanning a day
 boundary contributes one transaction per day it touches (this is what
 makes daily partials composable; document it when comparing against
@@ -27,7 +36,6 @@ from datetime import datetime, timedelta
 import numpy as np
 import pandas as pd
 
-from ..functions.hashing import hash_strings
 from ..sketches import Sketch
 from .checkpoint import completed_partitions, config_hash, merge_blobs, write_partition
 
@@ -39,13 +47,17 @@ def _day_id(day: datetime) -> int:
 
 
 def add_conv_day(batch: pd.DataFrame) -> pd.DataFrame:
-    """Derive the store's transaction key: conv_id @ calendar day."""
+    """Derive the store's transaction key, conv_id @ calendar day, as a
+    ``conv_day`` column — for shuffle-path reads of store windows (the
+    store itself builds the same key per shard)."""
     day = pd.to_datetime(batch["ts"]).dt.strftime("%Y-%m-%d")
     return batch.assign(conv_day=batch["conv_id"] + "@" + day)
 
 
 class DailySketchStore:
-    """Per-day itemset sketches over a transcripts parquet source."""
+    """Per-day itemset sketches over conversation-partitioned transcripts
+    parquet shards, each day built per shard with no shuffle (see the
+    module docstring for the input contract)."""
 
     def __init__(self, store_dir: str, cms_width: int = 1 << 13,
                  cms_depth: int = 4, topk_capacity: int = 4096, hll_p: int = 14,
@@ -64,38 +76,33 @@ class DailySketchStore:
         }
         self.cfg = config_hash(self.params)
 
-    def _build_day(self, transcripts_path, day: datetime) -> dict[str, Sketch]:
-        from ..functions.windows import WindowSpec, read_window
-        from ..pipelines.itemsets import SKETCH_NAMES, sketched_itemset_supports
+    def _build_day(self, paths: list[str], day: datetime) -> dict[str, Sketch]:
+        from ..pipelines.itemsets import SKETCH_NAMES, itemset_supports_partitioned
 
-        spec = WindowSpec(day, day + timedelta(days=1), day, day)
-        ds = read_window(transcripts_path, spec, "obs",
-                         columns=["conv_id", "role", "tool", "ts"])
-        ds = ds.map_batches(add_conv_day, batch_format="pandas")
-        res = sketched_itemset_supports(
-            ds, conv_col="conv_day", max_k=self.params["max_k"],
-            max_transaction_items=self.params["max_tx"],
-            cms_width=self.params["cms_width"], cms_depth=self.params["cms_depth"],
-            topk_capacity=self.params["topk_capacity"], hll_p=self.params["hll_p"],
-            num_buckets=16, itemset_hash=self.params["itemset_hash"],
-            conv_hash=self.params["conv_hash"],
-        )
+        p = self.params
+        res = itemset_supports_partitioned(
+            paths, mode="sketch", max_k=p["max_k"],
+            max_transaction_items=p["max_tx"], cms_width=p["cms_width"],
+            cms_depth=p["cms_depth"], topk_capacity=p["topk_capacity"],
+            hll_p=p["hll_p"], day=day, itemset_hash=p["itemset_hash"],
+            conv_hash=p["conv_hash"])
         return {k: res[k] for k in SKETCH_NAMES}
 
-    def ensure_days(self, transcripts_path, start: datetime, end: datetime) -> int:
-        """Compute-and-checkpoint any missing day partials in [start, end);
-        returns how many days were (re)built."""
+    def ensure_days(self, paths: list[str], start: datetime, end: datetime) -> int:
+        """Compute-and-checkpoint any missing day partials in [start, end)
+        from the conversation-partitioned shards ``paths``; returns how
+        many days were (re)built."""
         done = completed_partitions(self.store_dir, self.cfg)
+        inputs = [str(path) for path in paths]
         built = 0
         day = start
         while day < end:
             pid = _day_id(day)
             if pid not in done:
                 t0 = time.perf_counter()
-                sketches = self._build_day(transcripts_path, day)
-                write_partition(self.store_dir, pid, sketches,
-                                [str(transcripts_path)], 0, self.cfg,
-                                wall_s=time.perf_counter() - t0)
+                sketches = self._build_day(inputs, day)
+                write_partition(self.store_dir, pid, sketches, inputs, 0,
+                                self.cfg, wall_s=time.perf_counter() - t0)
                 built += 1
             day += timedelta(days=1)
         return built

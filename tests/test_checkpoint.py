@@ -83,13 +83,13 @@ class TestRaySketchCheckpoint:
         paths = write_synth_transcripts(str(tmp_path / "corpus"), n_convs=1200,
                                         shards=4)
         fresh = sketched_itemset_supports_checkpointed(
-            paths, str(tmp_path / "ck1"), num_buckets=8)
+            paths, str(tmp_path / "ck1"))
 
         # "kill" after 2 shards: run only those, then resume over all 4
         sketched_itemset_supports_checkpointed(
-            paths[:2], str(tmp_path / "ck2"), num_buckets=8)
+            paths[:2], str(tmp_path / "ck2"))
         resumed = sketched_itemset_supports_checkpointed(
-            paths, str(tmp_path / "ck2"), num_buckets=8)
+            paths, str(tmp_path / "ck2"))
 
         assert resumed["cms"].to_bytes() == fresh["cms"].to_bytes()
         assert resumed["hll"].to_bytes() == fresh["hll"].to_bytes()

@@ -1,7 +1,7 @@
 """Distributed greedy cover, config-grid job loop, incremental daily
 sketch store (window = merge of dailies)."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pandas as pd
@@ -123,15 +123,31 @@ class TestJobs:
         assert 0 <= agg["recall"].iloc[0] <= 1
 
 
+def _window_by_shuffle(paths, start, end, **params):
+    """The store's sketches of [start, end) in one direct pass of the
+    general shuffle path: the window's rows, keyed ``conv_id@day``,
+    counted by ``sketched_itemset_supports``."""
+    from associationabacminer_ray.functions.windows import WindowSpec, read_window
+    from associationabacminer_ray.pipelines.itemsets import sketched_itemset_supports
+    from associationabacminer_ray.state.incremental import add_conv_day
+
+    spec = WindowSpec(start, end, end, end)
+    ds = read_window(paths, spec, "obs", columns=["conv_id", "role", "tool", "ts"])
+    return sketched_itemset_supports(
+        ds.map_batches(add_conv_day, batch_format="pandas"), conv_col="conv_day",
+        max_k=2, num_buckets=16, **params)
+
+
 class TestIncrementalDailyStore:
-    def test_window_merge_equals_direct(self, ray_session, corpus, tmp_path):
-        from associationabacminer_ray.functions.windows import WindowSpec, read_window
-        from associationabacminer_ray.pipelines.itemsets import (
-            sketched_itemset_supports,
-        )
+    @pytest.mark.parametrize("itemset_hash,conv_hash",
+                             [("sip", "sip"), ("poly", "poly")])
+    def test_window_merge_equals_direct(self, ray_session, corpus, tmp_path,
+                                        itemset_hash, conv_hash):
+        from associationabacminer_ray.functions.hashing import hash_strings_poly
         from associationabacminer_ray.state.incremental import DailySketchStore
 
-        store = DailySketchStore(str(tmp_path / "daily"))
+        store = DailySketchStore(str(tmp_path / "daily"), itemset_hash=itemset_hash,
+                                 conv_hash=conv_hash)
         start, end = datetime(2024, 1, 3), datetime(2024, 1, 8)
         built = store.ensure_days(corpus, start, end)
         assert built == 5
@@ -139,22 +155,66 @@ class TestIncrementalDailyStore:
         assert store.ensure_days(corpus, start, end) == 0
 
         merged = store.window_sketches(start, end)
-        spec = WindowSpec(start, end, end, end)
-        from associationabacminer_ray.state.incremental import add_conv_day
-
-        direct_ds = read_window(corpus, spec, "obs",
-                                columns=["conv_id", "role", "tool", "ts"])
-        direct = sketched_itemset_supports(
-            direct_ds.map_batches(add_conv_day, batch_format="pandas"),
-            conv_col="conv_day", max_k=2, num_buckets=16)
+        direct = _window_by_shuffle(corpus, start, end, itemset_hash=itemset_hash,
+                                    conv_hash=conv_hash)
         # under the (conv, day) transaction unit, CMS/HLL merges are
         # lossless → dailies == direct, bit for bit
         assert merged["cms"].to_bytes() == direct["cms"].to_bytes()
         assert merged["hll"].to_bytes() == direct["hll"].to_bytes()
+        # below capacity Space-Saving counts exactly, so the merged
+        # dailies' counters equal the direct pass's
+        assert len(direct["topk"].counters) < direct["topk"].capacity
+        assert merged["topk"].counters == direct["topk"].counters
+        assert merged["topk"].total == direct["topk"].total
         # support estimates agree
         head = direct["topk"].top(1)[0][0]
+        hash_fn = {"sip": hash_strings, "poly": hash_strings_poly}[itemset_hash]
         assert store.estimate_support(merged, head) == direct["cms"].estimate_one(
-            int(hash_strings(np.array([head], dtype=object))[0]))
+            int(hash_fn(np.array([head], dtype=object))[0]))
+
+    def test_empty_days_equal_shuffle_build(self, ray_session, tmp_path):
+        from associationabacminer_ray.sketches import CountMinSketch, HyperLogLog
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        # 6 conversations over 4 shards: most shards have no row on most days
+        paths = write_synth_transcripts(str(tmp_path / "tiny"), n_convs=6,
+                                        shards=4, days=5)
+        sizes = dict(cms_width=1 << 10, topk_capacity=64, hll_p=10)
+        store = DailySketchStore(str(tmp_path / "daily"), **sizes)
+        start, end = datetime(2024, 1, 1), datetime(2024, 1, 8)
+        assert store.ensure_days(paths, start, end) == 7
+        day = start
+        while day < end:
+            got = store.window_sketches(day, day + timedelta(days=1))
+            want = _window_by_shuffle(paths, day, day + timedelta(days=1), **sizes)
+            assert got["cms"].to_bytes() == want["cms"].to_bytes(), day
+            assert got["hll"].to_bytes() == want["hll"].to_bytes(), day
+            assert got["topk"].counters == want["topk"].counters, day
+            assert got["topk"].total == want["topk"].total, day
+            day += timedelta(days=1)
+        # the corpus ends within its 5 days (+ the last turns' spill):
+        # the last day stored holds fresh sketches of the store's sizes
+        last = store.window_sketches(end - timedelta(days=1), end)
+        assert last["hll"].estimate() == 0
+        assert last["hll"].to_bytes() == HyperLogLog(p=10).to_bytes()
+        assert last["topk"].capacity == 64 and last["topk"].counters == {}
+        assert last["cms"].to_bytes() == CountMinSketch(width=1 << 10,
+                                                        depth=4).to_bytes()
+        # a day is a calendar day: a mid-day start would key one day's
+        # transactions with rows of the next
+        with pytest.raises(ValueError, match="midnight"):
+            store.ensure_days(paths, datetime(2024, 1, 8, 6), datetime(2024, 1, 9))
+
+    def test_lineage_records_each_shard(self, ray_session, corpus, tmp_path):
+        from associationabacminer_ray.state.checkpoint import completed_partitions
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = DailySketchStore(str(tmp_path / "daily"))
+        store.ensure_days(corpus, datetime(2024, 1, 3), datetime(2024, 1, 5))
+        done = completed_partitions(store.store_dir, store.cfg, with_inputs=True)
+        assert len(done) == 2
+        for _, inputs in done.values():
+            assert inputs == [str(p) for p in corpus]
 
     def test_missing_day_raises(self, tmp_path):
         from associationabacminer_ray.state.incremental import DailySketchStore
