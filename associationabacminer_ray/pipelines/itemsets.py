@@ -448,6 +448,7 @@ def sketched_itemset_supports_checkpointed(
         "conv_col": conv_col, "max_tx": max_transaction_items,
         "cms_width": cms_width, "cms_depth": cms_depth,
         "topk_capacity": topk_capacity, "hll_p": hll_p,
+        "topk_version": SpaceSaving.VERSION,
     }
 
     def compute_partition(pid: int, path: str):

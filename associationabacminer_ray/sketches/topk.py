@@ -11,6 +11,25 @@ absent from one summary, that summary's minimum count is added as the
 upper-bound contribution (stored counts remain overestimates:
 ``true ≤ count ≤ true + err``). Any key with true frequency
 > N/capacity is guaranteed present.
+
+The summary is columnar: a key array (``str``/``int`` objects) beside
+int64 ``count`` and ``err`` arrays. ``update`` and ``merge`` match keys
+with one ``pd.factorize`` over both key sets and trim to ``capacity``
+in ``(-count, str(key))`` order (an ``int`` key before the ``str`` of
+the same text).
+
+Payload v2 (little-endian, after the ``TOPK`` magic and version byte)::
+
+    u32 capacity | u32 n | i64 total
+    i64 count[n] | i64 err[n]
+    u32 length[n]               key i's UTF-8 byte length
+    u8  tag[n]                  0 = str key, 1 = int key stored as decimal text
+    u8  data[sum(length)]       the keys' UTF-8 bytes, back to back
+
+Decoding rebuilds the Arrow string offsets as the running sum of the
+lengths and turns the keys into one ``pyarrow`` string array. Lengths,
+not offsets, are stored because the checkpoint files' snappy codec
+compresses them (an increasing offset array barely compresses).
 """
 
 from __future__ import annotations
@@ -18,125 +37,199 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+from pandas.api.types import infer_dtype
 
 from .base import Sketch
+
+_HEAD = struct.Struct("<IIq")  # capacity, n, total
+
+
+def _check_key(k):
+    if isinstance(k, (np.str_, np.integer)):
+        k = k.item() if isinstance(k, np.integer) else str(k)
+    if not isinstance(k, (str, int)) or isinstance(k, bool):
+        raise TypeError(
+            f"SpaceSaving keys must be str or int (got {type(k).__name__}"
+            f" {k!r}); float keys would collide after int() truncation"
+            " in serialization")
+    return k
+
+
+def _key_array(keys) -> np.ndarray:
+    """``keys`` as a 1-D object array of ``str``/``int``; numpy scalars
+    are unwrapped and any other key type raises ``TypeError``."""
+    if isinstance(keys, np.ndarray) and keys.dtype.kind == "U":
+        return keys.astype(object)
+    arr = np.fromiter(keys, dtype=object)
+    if infer_dtype(arr, skipna=False) not in ("string", "empty"):
+        arr = np.fromiter((_check_key(k) for k in arr), dtype=object, count=len(arr))
+    return arr
+
+
+def _text(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(str(key) per key, is-str mask)``."""
+    if infer_dtype(keys, skipna=False) in ("string", "empty"):
+        return keys, np.ones(len(keys), dtype=bool)
+    return (np.fromiter((str(k) for k in keys), dtype=object, count=len(keys)),
+            np.fromiter((isinstance(k, str) for k in keys), dtype=bool, count=len(keys)))
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """Indices sorting ``keys`` by ``str(key)``, an int key first."""
+    text, is_str = _text(keys)
+    tbl = pa.table({"text": pa.array(text, type=pa.string()), "is_str": is_str})
+    return pc.sort_indices(tbl, sort_keys=[("text", "ascending"),
+                                           ("is_str", "ascending")]).to_numpy()
+
+
+def _head_index(keys: np.ndarray, count: np.ndarray, k: int) -> np.ndarray:
+    """Indices, in array order, of the ``k`` entries first in
+    ``(-count, str(key))`` order: the ones above the k-th largest count,
+    then the ties at that count by key."""
+    n = len(count)
+    cut = np.partition(count, n - k)[n - k]
+    above = np.flatnonzero(count > cut)
+    tied = np.flatnonzero(count == cut)
+    tied = tied[_key_order(keys[tied])[:k - len(above)]]
+    return np.sort(np.concatenate([above, tied]))
 
 
 class SpaceSaving(Sketch):
     MAGIC = b"TOPK"
+    VERSION = 2
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.counters: dict[str | int, list[int]] = {}  # key -> [count, err]
+        self.keys = np.empty(0, dtype=object)
+        self.count = np.empty(0, dtype=np.int64)
+        self.err = np.empty(0, dtype=np.int64)
         self.total = 0
+        self._counters: dict | None = None
+
+    @property
+    def counters(self) -> dict[str | int, list[int]]:
+        """Read-only ``{key: [count, err]}`` view of the arrays, built on
+        first use and cached until the next ``update``/``merge``."""
+        if self._counters is None:
+            self._counters = {k: [c, e] for k, c, e in zip(
+                self.keys.tolist(), self.count.tolist(), self.err.tolist())}
+        return self._counters
 
     # -- update --------------------------------------------------------
     def update(self, keys, counts=None) -> "SpaceSaving":
         """Batch update via the mergeable-summaries construction: the
         batch's exact counts form an error-free summary that is merged in
-        (one sort per batch) — equivalent bounds to per-item Space-Saving
-        eviction but O(n log n) instead of O(n × capacity)."""
-        keys = list(keys)
-        if counts is None:
-            counts = [1] * len(keys)
-        else:
-            counts = np.asarray(counts).tolist()
-        batch: dict[str | int, list[int]] = {}
-        add = 0
-        for k, c in zip(keys, counts):
-            if isinstance(k, (np.str_, np.integer)):
-                k = k.item() if isinstance(k, np.integer) else str(k)
-            if not isinstance(k, (str, int)) or isinstance(k, bool):
-                raise TypeError(
-                    f"SpaceSaving keys must be str or int (got {type(k).__name__}"
-                    f" {k!r}); float keys would collide after int() truncation"
-                    " in serialization")
-            c = int(c)
-            add += c
-            ent = batch.get(k)
-            if ent is not None:
-                ent[0] += c
-            else:
-                batch[k] = [c, 0]
-        self._merge_maps(batch, other_min=0)
-        self.total += add
+        — equivalent bounds to per-item Space-Saving eviction but one
+        vectorized merge per batch instead of O(n × capacity)."""
+        keys = _key_array(keys)
+        counts = (np.ones(len(keys), dtype=np.int64) if counts is None
+                  else np.asarray(counts).astype(np.int64))
+        if len(counts) != len(keys):
+            raise ValueError(f"{len(keys)} keys but {len(counts)} counts")
+        codes, uniq = pd.factorize(keys)
+        if len(uniq) < len(keys):
+            summed = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(summed, codes, counts)
+            counts = summed
+        self._combine(uniq, counts, np.zeros(len(uniq), dtype=np.int64), other_min=0)
+        self.total += int(counts.sum())
         return self
 
     def _min_count(self) -> int:
-        if len(self.counters) < self.capacity:
+        if len(self.count) < self.capacity:
             return 0
-        return min(e[0] for e in self.counters.values())
+        return int(self.count.min())
 
     # -- query ---------------------------------------------------------
     def top(self, k: int | None = None) -> list[tuple[str | int, int, int]]:
         """[(key, count_overestimate, err)] sorted by count desc, key asc."""
-        items = [(key, e[0], e[1]) for key, e in self.counters.items()]
-        items.sort(key=lambda t: (-t[1], str(t[0])))
-        return items if k is None else items[:k]
+        n = len(self.keys)
+        idx = (_head_index(self.keys, self.count, k) if k is not None and 0 < k < n
+               else np.arange(n))
+        idx = idx[_key_order(self.keys[idx])]
+        idx = idx[np.argsort(-self.count[idx], kind="stable")][:k]
+        return list(zip(self.keys[idx].tolist(), self.count[idx].tolist(),
+                        self.err[idx].tolist()))
 
     def estimate_one(self, key) -> int:
         ent = self.counters.get(key)
         return ent[0] if ent is not None else self._min_count()
 
     # -- merge ---------------------------------------------------------
-    def _merge_maps(self, other_map: dict, other_min: int) -> None:
-        """Mergeable-summaries combine (Agarwal et al. 2012): keys absent
-        from one side get that side's min count added to both count and
+    def _combine(self, keys: np.ndarray, count: np.ndarray, err: np.ndarray,
+                 other_min: int) -> None:
+        """Mergeable-summaries combine (Agarwal et al. 2012) with the
+        summary ``(keys, count, err)`` of distinct keys: keys absent from
+        one side get that side's min count added to both count and
         error (counts stay overestimates), then trim to capacity."""
+        n = len(self.keys)
         min_self = self._min_count()
-        merged: dict[str | int, list[int]] = {}
-        for k, (c, e) in self.counters.items():
-            oc = other_map.get(k)
-            if oc is not None:
-                merged[k] = [c + oc[0], e + oc[1]]
-            else:
-                merged[k] = [c + other_min, e + other_min]
-        for k, (c, e) in other_map.items():
-            if k not in merged:
-                merged[k] = [c + min_self, e + min_self]
+        codes, merged = pd.factorize(np.concatenate([self.keys, keys]))
+        codes = codes[n:]
+        hit = codes < n
+        new_count = np.empty(len(merged), dtype=np.int64)
+        new_err = np.empty(len(merged), dtype=np.int64)
+        new_count[:n] = self.count + other_min
+        new_err[:n] = self.err + other_min
+        new_count[codes[hit]] += count[hit] - other_min
+        new_err[codes[hit]] += err[hit] - other_min
+        new_count[n:] = count[~hit] + min_self
+        new_err[n:] = err[~hit] + min_self
         if len(merged) > self.capacity:
-            keep = sorted(merged.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
-            merged = dict(keep[: self.capacity])
-        self.counters = merged
+            keep = _head_index(merged, new_count, self.capacity)
+            merged, new_count, new_err = merged[keep], new_count[keep], new_err[keep]
+        self.keys, self.count, self.err = merged, new_count, new_err
+        self._counters = None
 
     def merge(self, other: "SpaceSaving") -> "SpaceSaving":
         self._check_mergeable(other, "capacity")
-        self._merge_maps(other.counters, other._min_count())
+        self._combine(other.keys, other.count, other.err, other._min_count())
         self.total += other.total
         return self
 
     # -- serialize -----------------------------------------------------
     def _payload(self) -> bytes:
-        parts = [struct.pack("<IIq", self.capacity, len(self.counters), self.total)]
-        for k, (c, e) in self.counters.items():
-            if isinstance(k, str):
-                kb = k.encode("utf-8")
-                parts.append(struct.pack("<BI", 0, len(kb)) + kb)
-            else:
-                parts.append(struct.pack("<Bq", 1, int(k)))
-            parts.append(struct.pack("<qq", c, e))
-        return b"".join(parts)
+        n = len(self.keys)
+        text, is_str = _text(self.keys)
+        _, offsets, data = pa.array(text, type=pa.string()).buffers()
+        offsets = np.frombuffer(offsets, dtype=np.int32, count=n + 1)
+        return b"".join([
+            _HEAD.pack(self.capacity, n, self.total),
+            self.count.astype("<i8", copy=False).tobytes(),
+            self.err.astype("<i8", copy=False).tobytes(),
+            np.diff(offsets).astype("<u4").tobytes(),
+            (~is_str).astype(np.uint8).tobytes(),
+            memoryview(data)[:offsets[-1]],
+        ])
 
     @classmethod
     def _from_payload(cls, payload: bytes) -> "SpaceSaving":
-        cap, n, total = struct.unpack_from("<IIq", payload)
-        off = struct.calcsize("<IIq")
+        cap, n, total = _HEAD.unpack_from(payload)
+        off = _HEAD.size
+        count = np.frombuffer(payload, dtype="<i8", count=n, offset=off)
+        err = np.frombuffer(payload, dtype="<i8", count=n, offset=off + 8 * n)
+        off += 16 * n
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(payload, dtype="<u4", count=n, offset=off), out=offsets[1:])
+        off += 4 * n
+        tags = np.frombuffer(payload, dtype=np.uint8, count=n, offset=off)
+        off += n
+        if len(payload) - off != offsets[-1] or (tags > 1).any():
+            raise ValueError("corrupt SpaceSaving payload")
+        offsets = offsets.astype(np.int32)
+        text = pa.Array.from_buffers(pa.string(), n, [
+            None, pa.py_buffer(offsets), pa.py_buffer(memoryview(payload)[off:])])
+        text.validate(full=True)
+        keys = text.to_numpy(zero_copy_only=False)
+        if tags.any():
+            ints = np.flatnonzero(tags)
+            keys[ints] = np.fromiter((int(k) for k in keys[ints]), dtype=object,
+                                     count=len(ints))
         out = cls(capacity=cap)
-        out.total = total
-        for _ in range(n):
-            (tag,) = struct.unpack_from("<B", payload, off)
-            off += 1
-            if tag == 0:
-                (ln,) = struct.unpack_from("<I", payload, off)
-                off += 4
-                key: str | int = payload[off:off + ln].decode("utf-8")
-                off += ln
-            else:
-                (key,) = struct.unpack_from("<q", payload, off)
-                off += 8
-            c, e = struct.unpack_from("<qq", payload, off)
-            off += 16
-            out.counters[key] = [c, e]
+        out.keys, out.count, out.err, out.total = keys, count, err, total
         return out

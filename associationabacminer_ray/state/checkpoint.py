@@ -6,18 +6,26 @@ cache (``src/eval/EnvPolicyEvaluator.py:59-93``). Here (SURVEY.md §4,
 "Checkpoint / resume"): every input shard's partial sketch state is one
 parquet file
 
-    ckpt_dir/part-{partition_id}.parquet
-      columns: name, blob, rows           (one row per sketch)
+    ckpt_dir/part-{config_hash}-{partition_id:05d}.parquet
+      columns: name, blob                 (one row per sketch)
       + lineage columns: partition_id, input_files (json),
-        row_count, config_hash
+        row_count, config_hash, wall_s
 
-written atomically (tmp + rename). Resume = load blobs for finished
-partitions, recompute only the missing ones, merge everything —
-**sound because every sketch merge is associative/commutative**, so
+written atomically (tmp + rename). The file name carries the config
+hash, so listing a directory's finished partitions for one config
+(``completed_partitions``) opens no file, and a file of another config
+— or of the older ``part-{partition_id:05d}.parquet`` naming — is never
+listed, so its partition is recomputed. Resume = load blobs for
+finished partitions, recompute only the missing ones, merge everything
+— **sound because every sketch merge is associative/commutative**, so
 "merge(checkpointed partials + recomputed partials)" equals the
 uninterrupted run bit-for-bit (CMS/HLL/Bloom) or within bound
-(t-digest/KLL). A ``config_hash`` mismatch invalidates the whole
-checkpoint directory (sketch params/seeds define estimate identity).
+(t-digest/KLL).
+
+Fail loud: a listed file is read through ``read_partition``, which
+raises ``ValueError`` naming the file when it cannot be read or its
+embedded ``config_hash`` disagrees with its name. Such a file is never
+taken for "not built" and never merged.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ import os
 import time
 from typing import Callable, Iterable, Sequence
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -42,8 +49,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(blob).hexdigest()[:10]
 
 
-def _part_path(ckpt_dir: str, pid: int) -> str:
-    return os.path.join(ckpt_dir, f"part-{pid:05d}.parquet")
+def _part_path(ckpt_dir: str, cfg_hash: str, pid: int) -> str:
+    return os.path.join(ckpt_dir, f"part-{cfg_hash}-{pid:05d}.parquet")
 
 
 def write_partition(ckpt_dir: str, pid: int, sketches: dict[str, Sketch],
@@ -55,7 +62,7 @@ def write_partition(ckpt_dir: str, pid: int, sketches: dict[str, Sketch],
     (straggler/skew diagnosis on resume: a partition whose recompute
     takes 10x its neighbors is a skewed shard)."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    path = _part_path(ckpt_dir, pid)
+    path = _part_path(ckpt_dir, cfg_hash, pid)
     tmp = path + ".tmp"
     n = len(sketches)
     tbl = pa.table(
@@ -74,56 +81,39 @@ def write_partition(ckpt_dir: str, pid: int, sketches: dict[str, Sketch],
     return path
 
 
-def checkpoint_metrics(ckpt_dir: str) -> pd.DataFrame:
-    """Per-partition metrics table from a checkpoint directory: one row
-    per partition (partition_id, row_count, wall_s, n_sketches,
-    config_hash) — the run's lineage + metrics ledger. Pre-``wall_s``
-    checkpoints read as wall_s = -1 (unknown)."""
-    rows = []
-    if os.path.isdir(ckpt_dir):
-        for fname in sorted(os.listdir(ckpt_dir)):
-            if not (fname.startswith("part-") and fname.endswith(".parquet")):
-                continue
-            try:
-                t = pq.read_table(os.path.join(ckpt_dir, fname))
-            except Exception:
-                continue
-            if not t.num_rows:
-                continue
-            first = {c: t.column(c)[0].as_py() for c in
-                     ("partition_id", "row_count", "config_hash")}
-            wall = (t.column("wall_s")[0].as_py()
-                    if "wall_s" in t.column_names else -1.0)
-            rows.append((int(first["partition_id"]), int(first["row_count"]),
-                         float(wall), t.num_rows, first["config_hash"]))
-    return pd.DataFrame(rows, columns=["partition_id", "row_count", "wall_s",
-                                       "n_sketches", "config_hash"])
-
-
-def completed_partitions(ckpt_dir: str, cfg_hash: str,
-                         with_inputs: bool = False):
-    """partition_id -> file (or (file, input_files)) for finished
-    partitions matching the config."""
-    out: dict = {}
+def completed_partitions(ckpt_dir: str, cfg_hash: str) -> dict[int, str]:
+    """partition_id -> file for the finished partitions of a config,
+    from the directory listing alone (no file is opened)."""
     if not os.path.isdir(ckpt_dir):
-        return out
+        return {}
+    prefix, suffix = f"part-{cfg_hash}-", ".parquet"
+    out: dict[int, str] = {}
     for fname in sorted(os.listdir(ckpt_dir)):
-        if not (fname.startswith("part-") and fname.endswith(".parquet")):
-            continue
-        path = os.path.join(ckpt_dir, fname)
-        try:
-            meta = pq.read_table(
-                path, columns=["partition_id", "config_hash", "input_files"])
-        except Exception:
-            continue  # unreadable/partial → recompute
-        if meta.num_rows and meta.column("config_hash")[0].as_py() == cfg_hash:
-            pid = int(meta.column("partition_id")[0].as_py())
-            if with_inputs:
-                out[pid] = (path,
-                            json.loads(meta.column("input_files")[0].as_py()))
-            else:
-                out[pid] = path
+        pid = fname[len(prefix):-len(suffix)]
+        if fname.startswith(prefix) and fname.endswith(suffix) and pid.isdecimal():
+            out[int(pid)] = os.path.join(ckpt_dir, fname)
     return out
+
+
+def read_partition(path: str, cfg_hash: str,
+                   columns: Sequence[str] = ("name", "blob")) -> pa.Table:
+    """``columns`` of a listed partition file, after checking that every
+    row's embedded ``config_hash`` is the one its name carries; an
+    unreadable or stale file raises ``ValueError`` naming it."""
+    want = [*columns, "config_hash"]
+    try:
+        with pq.ParquetFile(path) as f:
+            tbl = f.read(columns=want)
+    except (OSError, pa.ArrowException) as exc:
+        raise ValueError(f"unreadable checkpoint partition {path}: {exc}") from exc
+    missing = set(want) - set(tbl.column_names)
+    if missing:
+        raise ValueError(f"checkpoint partition {path} lacks columns {sorted(missing)}")
+    found = set(tbl.column("config_hash").to_pylist())
+    if found - {cfg_hash}:
+        raise ValueError(f"checkpoint partition {path} embeds config_hash "
+                         f"{sorted(found)}, not {cfg_hash!r}")
+    return tbl
 
 
 def merge_blobs(names: Iterable[str], blobs: Iterable[bytes],
@@ -152,17 +142,18 @@ def run_with_checkpoint(
     shards are skipped entirely — the resume contract of FIXTURES §F5.
     """
     cfg = config_hash(config)
-    done = completed_partitions(ckpt_dir, cfg, with_inputs=True)
+    done = completed_partitions(ckpt_dir, cfg)
     merged: dict[str, Sketch] = {}
 
     for pid, path in enumerate(input_files):
         if pid in done:
-            ck_path, ck_inputs = done[pid]
+            tbl = read_partition(done[pid], cfg, ("name", "blob", "input_files"))
             # lineage check: a reordered/extended file list must NOT let a
             # positional match absorb another shard's blobs
-            if ck_inputs == [str(path)]:
-                tbl = pq.read_table(ck_path, columns=["name", "blob"]).to_pandas()
-                merge_blobs(tbl["name"], tbl["blob"], merged)
+            if (tbl.num_rows and json.loads(tbl.column("input_files")[0].as_py())
+                    == [str(path)]):
+                merge_blobs(tbl.column("name").to_pylist(),
+                            tbl.column("blob").to_pylist(), merged)
                 continue
         t0 = time.perf_counter()
         sketches, row_count = compute_partition(pid, path)

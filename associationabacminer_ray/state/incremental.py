@@ -7,7 +7,8 @@ architecture the reference lacks: compute each DAY's partial sketches
 once (checkpointed with lineage like any partition), then ANY window =
 merge of its days' blobs — O(days) blob merges instead of re-reading
 the corpus. A 30-day window stepped by 1 day costs one new day per
-step.
+step. Listing the store reads file names only (each carries the
+store's config hash), so a window opens exactly its own days' files.
 
 Input contract: the transcripts source is a list of
 conversation-partitioned parquet shards — no conversation spans two
@@ -36,8 +37,14 @@ from datetime import datetime, timedelta
 import numpy as np
 import pandas as pd
 
-from ..sketches import Sketch
-from .checkpoint import completed_partitions, config_hash, merge_blobs, write_partition
+from ..sketches import Sketch, SpaceSaving
+from .checkpoint import (
+    completed_partitions,
+    config_hash,
+    merge_blobs,
+    read_partition,
+    write_partition,
+)
 
 
 def _day_id(day: datetime) -> int:
@@ -73,6 +80,9 @@ class DailySketchStore:
             # checkpoints
             "itemset_hash": itemset_hash,
             "conv_hash": conv_hash,
+            # a top-k blob-format bump must rebuild stored days, not
+            # fail to decode them
+            "topk_version": SpaceSaving.VERSION,
         }
         self.cfg = config_hash(self.params)
 
@@ -108,9 +118,8 @@ class DailySketchStore:
         return built
 
     def window_sketches(self, start: datetime, end: datetime) -> dict[str, Sketch]:
-        """Merge the daily blobs covering [start, end)."""
-        import pyarrow.parquet as pq
-
+        """Merge the daily blobs covering [start, end): the listing opens
+        no file, then each window day's file is read once."""
         done = completed_partitions(self.store_dir, self.cfg)
         merged: dict[str, Sketch] = {}
         day = start
@@ -118,8 +127,9 @@ class DailySketchStore:
             pid = _day_id(day)
             if pid not in done:
                 raise KeyError(f"day {day:%Y-%m-%d} not built (call ensure_days)")
-            tbl = pq.read_table(done[pid], columns=["name", "blob"]).to_pandas()
-            merge_blobs(tbl["name"], tbl["blob"], merged)
+            tbl = read_partition(done[pid], self.cfg)
+            merge_blobs(tbl.column("name").to_pylist(), tbl.column("blob").to_pylist(),
+                        merged)
             day += timedelta(days=1)
         return merged
 

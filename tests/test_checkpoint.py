@@ -3,6 +3,7 @@
 import os
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
 from associationabacminer_ray.functions.hashing import hash_ints
@@ -14,6 +15,7 @@ from associationabacminer_ray.sources.transcripts import write_synth_transcripts
 from associationabacminer_ray.state.checkpoint import (
     completed_partitions,
     config_hash,
+    read_partition,
     run_with_checkpoint,
     write_partition,
 )
@@ -31,8 +33,17 @@ class TestRunWithCheckpoint:
         files = [f"shard{i}" for i in range(6)]
         cfg = {"v": 1}
         merged = run_with_checkpoint(files, str(tmp_path), _local_compute, cfg)
-        assert set(completed_partitions(str(tmp_path), config_hash(cfg))) == set(range(6))
+        done = completed_partitions(str(tmp_path), config_hash(cfg))
+        assert set(done) == set(range(6))
         assert merged["hll"].estimate() == pytest.approx(3000, rel=0.05)
+        # each file records its lineage and compute wall time per sketch row
+        for pid, path in done.items():
+            tbl = read_partition(path, config_hash(cfg),
+                                 ["name", "partition_id", "row_count", "wall_s"])
+            assert sorted(tbl.column("name").to_pylist()) == ["cms", "hll"]
+            assert set(tbl.column("partition_id").to_pylist()) == {pid}
+            assert set(tbl.column("row_count").to_pylist()) == {500}
+            assert min(tbl.column("wall_s").to_pylist()) >= 0
 
     def test_resume_equals_fresh_bit_for_bit(self, tmp_path):
         files = [f"shard{i}" for i in range(6)]
@@ -45,6 +56,9 @@ class TestRunWithCheckpoint:
         for pid in range(3):
             sketches, n = _local_compute(pid, files[pid])
             write_partition(part_dir, pid, sketches, [files[pid]], n, ch)
+        # a file written before the wall_s column existed is still absorbed
+        path = completed_partitions(part_dir, ch)[0]
+        pq.write_table(pq.read_table(path).drop_columns(["wall_s"]), path)
         calls = []
 
         def tracking_compute(pid, path):
@@ -122,28 +136,44 @@ def _lineage_compute(pid, path):
     return ({"hll": HyperLogLog(p=10).update_hashed(h)}, 60)
 
 
-def test_checkpoint_metrics_ledger(tmp_path):
-    """The per-partition metrics reader (north-rule 'lineage + metrics'):
-    one row per partition with row_count and recorded wall_s; a
-    pre-wall_s checkpoint file reads as wall_s = -1, not an error."""
-    from associationabacminer_ray.state.checkpoint import checkpoint_metrics
+class TestFailLoud:
+    """A listed partition that cannot be read, or whose embedded config
+    hash disagrees with its name, raises naming the file; a file of the
+    older unhashed naming is not listed, so its partition is rebuilt."""
 
-    files = [f"shard{i}" for i in range(4)]
-    cfg = {"v": 1}
-    run_with_checkpoint(files, str(tmp_path), _local_compute, cfg)
-    m = checkpoint_metrics(str(tmp_path)).sort_values("partition_id")
-    assert m["partition_id"].tolist() == [0, 1, 2, 3]
-    assert (m["row_count"] == 500).all()
-    assert (m["wall_s"] >= 0).all()
-    assert (m["n_sketches"] == 2).all()
-    # legacy file without the wall_s column: reader degrades to -1
-    import pyarrow.parquet as pq
+    def test_corrupt_partition_raises(self, tmp_path):
+        files = ["a", "b", "c"]
+        run_with_checkpoint(files, str(tmp_path), _local_compute, {"v": 1})
+        path = completed_partitions(str(tmp_path), config_hash({"v": 1}))[1]
+        with open(path, "r+b") as f:
+            f.write(b"garbage!")
+        with pytest.raises(ValueError, match=os.path.basename(path)):
+            run_with_checkpoint(files, str(tmp_path), _local_compute, {"v": 1})
 
-    path = os.path.join(str(tmp_path), "part-00000.parquet")
-    t = pq.read_table(path)
-    pq.write_table(t.drop_columns(["wall_s"]), path)
-    m2 = checkpoint_metrics(str(tmp_path)).sort_values("partition_id")
-    assert m2.loc[m2["partition_id"] == 0, "wall_s"].iloc[0] == -1.0
-    # resume still absorbs the legacy partition (schema tolerant)
-    merged = run_with_checkpoint(files, str(tmp_path), _local_compute, cfg)
-    assert merged["hll"].estimate() > 0
+    def test_stale_partition_raises(self, tmp_path):
+        files = ["a", "b"]
+        run_with_checkpoint(files, str(tmp_path), _local_compute, {"v": 1})
+        old = completed_partitions(str(tmp_path), config_hash({"v": 1}))[0]
+        stale = old.replace(config_hash({"v": 1}), config_hash({"v": 2}))
+        os.rename(old, stale)
+        with pytest.raises(ValueError, match=os.path.basename(stale)):
+            run_with_checkpoint(files, str(tmp_path), _local_compute, {"v": 2})
+
+    def test_unhashed_file_name_is_recomputed(self, tmp_path):
+        files = ["a", "b"]
+        cfg = {"v": 1}
+        ch = config_hash(cfg)
+        fresh = run_with_checkpoint(files, str(tmp_path / "fresh"), _local_compute, cfg)
+        sketches, n = _local_compute(0, "a")
+        new = write_partition(str(tmp_path), 0, sketches, ["a"], n, ch)
+        os.rename(new, str(tmp_path / "part-00000.parquet"))
+        assert completed_partitions(str(tmp_path), ch) == {}
+        calls = []
+
+        def tracking(pid, path):
+            calls.append(pid)
+            return _local_compute(pid, path)
+
+        out = run_with_checkpoint(files, str(tmp_path), tracking, cfg)
+        assert calls == [0, 1]
+        assert out["hll"].to_bytes() == fresh["hll"].to_bytes()

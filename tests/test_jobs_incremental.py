@@ -1,6 +1,7 @@
 """Distributed greedy cover, config-grid job loop, incremental daily
 sketch store (window = merge of dailies)."""
 
+import os
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -206,15 +207,22 @@ class TestIncrementalDailyStore:
             store.ensure_days(paths, datetime(2024, 1, 8, 6), datetime(2024, 1, 9))
 
     def test_lineage_records_each_shard(self, ray_session, corpus, tmp_path):
-        from associationabacminer_ray.state.checkpoint import completed_partitions
+        import json
+
+        from associationabacminer_ray.state.checkpoint import (
+            completed_partitions,
+            read_partition,
+        )
         from associationabacminer_ray.state.incremental import DailySketchStore
 
         store = DailySketchStore(str(tmp_path / "daily"))
         store.ensure_days(corpus, datetime(2024, 1, 3), datetime(2024, 1, 5))
-        done = completed_partitions(store.store_dir, store.cfg, with_inputs=True)
+        done = completed_partitions(store.store_dir, store.cfg)
         assert len(done) == 2
-        for _, inputs in done.values():
-            assert inputs == [str(p) for p in corpus]
+        for path in done.values():
+            inputs = read_partition(path, store.cfg, ["input_files"]).column("input_files")
+            assert all(json.loads(v) == [str(p) for p in corpus]
+                       for v in inputs.to_pylist())
 
     def test_missing_day_raises(self, tmp_path):
         from associationabacminer_ray.state.incremental import DailySketchStore
@@ -222,3 +230,100 @@ class TestIncrementalDailyStore:
         store = DailySketchStore(str(tmp_path / "d2"))
         with pytest.raises(KeyError, match="not built"):
             store.window_sketches(datetime(2024, 1, 1), datetime(2024, 1, 2))
+
+
+def _fake_store(store_dir, days, **params):
+    """A ``DailySketchStore`` whose days from 2024-01-01 on hold small
+    sketches of day-derived keys, written straight through
+    ``write_partition`` (no Ray build)."""
+    from associationabacminer_ray.sketches import CountMinSketch, HyperLogLog, SpaceSaving
+    from associationabacminer_ray.state.checkpoint import write_partition
+    from associationabacminer_ray.state.incremental import DailySketchStore
+
+    store = DailySketchStore(store_dir, **params)
+    for d in range(days):
+        keys = np.array([f"k{d + j}" for j in range(5)], dtype=object)
+        h = hash_strings(keys)
+        sketches = {"cms": CountMinSketch(width=64, depth=2).update_hashed(h),
+                    "topk": SpaceSaving(capacity=8).update(keys.tolist()),
+                    "hll": HyperLogLog(p=6).update_hashed(h)}
+        day = datetime(2024, 1, 1) + timedelta(days=d)
+        write_partition(store_dir, day.toordinal(), sketches, ["fake"], 0, store.cfg)
+    return store
+
+
+class TestDailyStoreFiles:
+    def test_window_opens_only_its_days(self, tmp_path, monkeypatch):
+        import pyarrow.parquet as pq
+
+        from associationabacminer_ray.state.checkpoint import completed_partitions
+
+        store = _fake_store(str(tmp_path / "daily"), 10)
+        opened = []
+        real = pq.ParquetFile
+
+        def counting(path, *args, **kwargs):
+            opened.append(path)
+            return real(path, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("window reads go through pq.ParquetFile")
+
+        monkeypatch.setattr(pq, "ParquetFile", counting)
+        monkeypatch.setattr(pq, "read_table", forbidden)
+        done = completed_partitions(store.store_dir, store.cfg)
+        assert len(done) == 10 and opened == []
+        start = datetime(2024, 1, 3)
+        merged = store.window_sketches(start, start + timedelta(days=7))
+        assert opened == [done[(start + timedelta(days=d)).toordinal()]
+                          for d in range(7)]
+        assert merged["topk"].total == 35
+        assert merged["topk"].counters["k8"] == [5, 0]
+
+    def test_corrupt_or_stale_day_raises(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from associationabacminer_ray.state.checkpoint import completed_partitions
+
+        store = _fake_store(str(tmp_path / "daily"), 3)
+        start, end = datetime(2024, 1, 1), datetime(2024, 1, 4)
+        done = completed_partitions(store.store_dir, store.cfg)
+        day2 = done[datetime(2024, 1, 2).toordinal()]
+        # a file of another config renamed under this config's name
+        other = _fake_store(str(tmp_path / "other"), 3, hll_p=12)
+        stale = completed_partitions(other.store_dir, other.cfg)[
+            datetime(2024, 1, 2).toordinal()]
+        os.replace(stale, day2)
+        with pytest.raises(ValueError, match=os.path.basename(day2)):
+            store.window_sketches(start, end)
+        # a file without the embedded hash cannot be checked against its name
+        pq.write_table(pq.read_table(day2).drop_columns(["config_hash"]), day2)
+        with pytest.raises(ValueError, match=os.path.basename(day2)):
+            store.window_sketches(start, end)
+        with open(day2, "wb") as f:
+            f.write(b"not a parquet file")
+        with pytest.raises(ValueError, match=os.path.basename(day2)):
+            store.window_sketches(start, end)
+        # the listing still trusts the name: nothing is rebuilt over it
+        assert store.ensure_days([], start, end) == 0
+
+    def test_unhashed_day_file_is_rebuilt(self, ray_session, corpus, tmp_path):
+        from associationabacminer_ray.state.checkpoint import completed_partitions
+
+        store_dir = str(tmp_path / "daily")
+        store = _fake_store(store_dir, 1)
+        day = datetime(2024, 1, 1)
+        path = completed_partitions(store_dir, store.cfg)[day.toordinal()]
+        os.rename(path, os.path.join(store_dir, f"part-{day.toordinal():05d}.parquet"))
+        with pytest.raises(KeyError, match="not built"):
+            store.window_sketches(day, day + timedelta(days=1))
+        assert store.ensure_days(corpus, day, day + timedelta(days=1)) == 1
+        assert store.window_sketches(day, day + timedelta(days=1))["topk"].total > 0
+
+    def test_topk_version_is_in_store_config(self, tmp_path, monkeypatch):
+        from associationabacminer_ray.sketches import SpaceSaving
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        cfg = DailySketchStore(str(tmp_path)).cfg
+        monkeypatch.setattr(SpaceSaving, "VERSION", SpaceSaving.VERSION + 1)
+        assert DailySketchStore(str(tmp_path)).cfg != cfg
