@@ -110,9 +110,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lang_dist": T.q_lang_dist,
         # similarity search (oracle-checked ranks)
         "knn_brute": N.q_knn_brute,
-        # sketch / seeded / windowed paths. CMS+topk and t-digest/KLL
-        # merges are order-sensitive (rows-only here, bounds in pytest);
-        # the deterministic ones carry pinned golden oracles (r3)
+        # sketch / seeded / windowed paths. t-digest/KLL merges are
+        # order-sensitive (rows-only here, bounds in pytest); the
+        # deterministic ones carry pinned golden oracles (r3), the itemset
+        # top-k among them since its partials fold in part order
         "sketch_topk_itemsets": S.q_sketch_topk_itemsets,
         "hll_role_union": S.q_hll_role_union,
         "weighted_sample_by_type": A.q_weighted_sample_by_type,
@@ -340,6 +341,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "greedy_policy", "greedy_round1",
         "windowed_mining", "windowed_mining_events",
         "windowed_sketch_sweep", "windowed_sketch_sweep_events",
+        "sketch_topk_itemsets",
         "policy_scores", "policy_scores_events", "policy_scores_universe",
         "hll_role_convs", "hll_role_union", "weighted_sample_by_type",
         "crosscorpus_dedup", "rule_audience_overlap", "simhash_bands",

@@ -10,7 +10,7 @@ Ray Data pipeline:
        → groupby(bucket).map_groups(factorize → shared counting kernel)
        → groupby(itemset).sum                       [exact mode]
        → or: per-bucket CMS/top-k/HLL partial blobs
-             → groupby(name).aggregate(SketchMergeAgg)   [sketch mode]
+             → repartition(1) → one fold in (name, part) order   [sketch mode]
 
 Conv-partitioned input skips the shuffle: ``itemset_supports_partitioned``
 reads each shard's dictionary codes and counts them with the same kernel
@@ -28,11 +28,11 @@ import numpy as np
 import pandas as pd
 
 from ray.data import Dataset
-from ray.data.aggregate import Sum
 
 from ..functions.hashing import hash_strings
 from ..functions.windows import ts_range
 from ..sketches import CountMinSketch, HyperLogLog, SpaceSaving
+from ..state.checkpoint import merge_blobs, run_with_checkpoint
 from ..stages.transactionize import (
     ITEM_SEP,
     distinct_pairs_with_bucket,
@@ -40,7 +40,6 @@ from ..stages.transactionize import (
     make_items,
     transactions_in_bucket,
 )
-from ..udaf import SketchMergeAgg
 
 _EMPTY_SUPPORTS = pd.DataFrame({"itemset": pd.Series(dtype=object),
                                 "k": pd.Series(dtype="int32"),
@@ -245,7 +244,8 @@ def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
     """THE sketch-mode partial format: an ``(itemset, count)`` partial
     and the hashes of its distinct conversations → one
     ``(name, blob, n_transactions)`` row per ``SKETCH_NAMES`` sketch
-    (CMS + space-saving over itemsets, HLL over conversations).
+    (CMS + space-saving over itemsets, HLL over conversations). The
+    caller adds the int ``part`` column that fixes the merge order.
     ``sizes`` holds ``cms_width``/``cms_depth``/``topk_capacity``/``hll_p``."""
     cms = CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"])
     topk = SpaceSaving(capacity=sizes["topk_capacity"])
@@ -262,23 +262,46 @@ def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
     })
 
 
-def merge_itemset_sketch_partials(partials: Dataset, sizes: dict) -> dict:
-    """Merge ``itemset_sketch_partial`` rows into
-    ``{"cms", "topk", "hll", "n_transactions"}``; empty input gives
-    fresh zero-state sketches of ``sizes``."""
-    from ..sketches import Sketch
+def _fold_in_part_order(rows: pd.DataFrame) -> pd.DataFrame:
+    """One ``(name, blob, n_transactions)`` row per sketch: ``rows``
+    folded through ``merge_blobs`` in ``(name, part)`` order."""
+    if rows.empty:
+        return rows
+    rows = rows.sort_values(["name", "part"])
+    merged: dict = {}
+    merge_blobs(rows["name"], rows["blob"], merged)
+    # every partial stamps its transaction count on each of its rows, so
+    # any single name's sum is the global total
+    first = rows["name"] == rows["name"].iloc[0]
+    return pd.DataFrame({
+        "name": list(merged),
+        "blob": [sk.to_bytes() for sk in merged.values()],
+        "n_transactions": np.int64(rows.loc[first, "n_transactions"].sum()),
+    })
 
-    rows = partials.groupby("name").aggregate(
-        SketchMergeAgg("blob", alias="blob"),
-        Sum("n_transactions", alias_name="n_transactions"),
-    ).take_all()
+
+def merge_itemset_sketch_partials(partials: Dataset, sizes: dict) -> dict:
+    """Merge ``itemset_sketch_partial`` rows (plus ``part``) into
+    ``{"cms", "topk", "hll", "n_transactions"}``; empty input gives
+    fresh zero-state sketches of ``sizes``.
+
+    The rows go to one block and fold there through ``merge_blobs``, the
+    loop of window queries and checkpoint resume, in ``(name, part)``
+    order. Space-Saving merges stop commuting once the sketch trims, so
+    a fixed order is what makes the merged top-k a function of the input
+    rather than of Ray's block layout. The driver receives only the
+    merged blobs: folding the partials on the driver grew its peak RSS
+    with every job (PERF #35)."""
+    rows = (partials.repartition(1)
+            .map_batches(_fold_in_part_order, batch_size=None,
+                         batch_format="pandas")
+            .take_all())
     if not rows:
         return {"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
                 "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
                 "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0}
-    out: dict = {row["name"]: Sketch.from_bytes(bytes(row["blob"])) for row in rows}
-    # every partial stamps its transaction count on each of its rows, so
-    # any single name's sum is the global total
+    out: dict = {}
+    merge_blobs([r["name"] for r in rows], [r["blob"] for r in rows], out)
     out["n_transactions"] = int(rows[0]["n_transactions"])
     return out
 
@@ -294,7 +317,8 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
     ``{"cms": CountMinSketch, "topk": SpaceSaving, "hll": HyperLogLog,
        "n_transactions": int}``.
 
-    Per conv-bucket partial blobs → groupby(name). Estimate any
+    Per conv-bucket partial blobs (``part`` = bucket id) → the ordered
+    fold of ``merge_itemset_sketch_partials``. Estimate any
     itemset's support with ``cms.estimate_one(hash_string_scalar("a|b"))``
     or read the heavy-hitter head from ``topk.top(k)``. ``conv_hash``
     picks the HLL conv-key family — "poly" makes the
@@ -310,24 +334,21 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
             group, conv_col, "item", max_k=max_k,
             max_transaction_items=max_transaction_items,
         )
-        return itemset_sketch_partial(
+        out = itemset_sketch_partial(
             partial, chash(group[conv_col].drop_duplicates()),
             group[conv_col].nunique(), sizes, hash_itemsets=ihash)
+        return out.assign(part=np.int64(group["bucket"].iloc[0]))
 
     # Ray's sort-based exchange cost scales with INPUT BLOCK COUNT, not
     # bytes (PERF #26): the exploded pair rows inherit the read's block
-    # count with collapsed block sizes, and the blob partials are 3×B
-    # tiny rows spread over B blocks. Coalescing both exchanges measured
-    # 15.3 s → 8.9 s (pair groupby) and 5.8 s → 0.5 s (blob merge) on
-    # the 20 M-turn bench corpus at 32 CPUs — results unchanged (group
-    # membership is layout-independent and every blob merge on a gate
-    # path is order-independent: CMS/HLL always, top-k in its exact
-    # regime).
+    # count with collapsed block sizes. Coalescing them measured
+    # 15.3 s → 8.9 s for the pair groupby on the 20 M-turn bench corpus
+    # at 32 CPUs — results unchanged (group membership is
+    # layout-independent).
     pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
     pairs = pairs.repartition(max(32, num_buckets))
-    partials = (pairs.groupby("bucket")
-                .map_groups(bucket_sketch_partials, batch_format="pandas")
-                .repartition(8))
+    partials = pairs.groupby("bucket").map_groups(bucket_sketch_partials,
+                                                  batch_format="pandas")
     return merge_itemset_sketch_partials(partials, sizes)
 
 
@@ -349,8 +370,9 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     written per conv-range shard (and for our corpus writer). Then the
     transaction build is embarrassingly parallel: one task per shard
     reads its file, transactionizes, expands itemsets and emits partial
-    counts (or sketch blobs) — the only exchange left is the tiny
-    partial merge. This is the 100 TB path: the general shuffle path
+    counts (or sketch blobs, ``part`` = the shard's position in
+    ``paths``) — the only exchange left is the tiny partial merge. This
+    is the 100 TB path: the general shuffle path
     (``exact_/sketched_itemset_supports``) exists for un-partitioned
     input.
 
@@ -385,7 +407,7 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
         )
 
         frames = []
-        for path in batch["path"]:
+        for path, part in zip(batch["path"], batch["part"]):
             conv_codes, item_codes, item_vocab, conv_vocab = read_shard_codes(
                 path, conv_col=conv_col, filters=day_filter)
             partial = itemset_partials_from_codes(
@@ -398,10 +420,10 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
             used = np.unique(conv_codes)
             frames.append(itemset_sketch_partial(
                 partial, chash(conv_vocab[used] + conv_suffix), len(used),
-                sizes, hash_itemsets=ihash))
+                sizes, hash_itemsets=ihash).assign(part=np.int64(part)))
         return pd.concat(frames, ignore_index=True)
 
-    shards = rd.from_items([{"path": p} for p in paths])
+    shards = rd.from_items([{"path": p, "part": i} for i, p in enumerate(paths)])
     partials = shards.map_batches(process_shard, batch_format="pandas",
                                   batch_size=1)
     if sketch:
@@ -441,8 +463,6 @@ def sketched_itemset_supports_checkpointed(
     as that path requires). A killed run resumes by loading finished
     shards' blobs and recomputing only the rest; merge associativity
     makes resume == fresh bit-for-bit for CMS/HLL (property-tested)."""
-    from ..state.checkpoint import run_with_checkpoint
-
     config = {
         "pipeline": "sketched_itemset_supports", "max_k": max_k,
         "conv_col": conv_col, "max_tx": max_transaction_items,
@@ -462,20 +482,3 @@ def sketched_itemset_supports_checkpointed(
     merged = run_with_checkpoint(input_files, ckpt_dir, compute_partition, config)
     merged["n_transactions"] = int(round(merged["hll"].estimate()))
     return merged
-
-
-def item_distinct_convs_exact(ds: Dataset, conv_col: str = "conv_id",
-                              num_buckets: int = 64) -> Dataset:
-    """(item, distinct_convs) exactly — conv-buckets partition conversations
-    disjointly, so per-bucket nunique sums to the global distinct count
-    without a second dedup shuffle."""
-    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("item", sort=False)[conv_col].nunique().reset_index()
-        out.columns = ["item", "partial"]
-        return out
-
-    partial = pairs.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-    return sum_by_key_bucketed(partial, "item", "partial", "distinct_convs",
-                               num_buckets=max(8, num_buckets // 2))

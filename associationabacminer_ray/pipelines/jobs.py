@@ -84,7 +84,7 @@ def run_one_job(transcripts_path, job: Job, distributed: bool = True) -> dict:
     materialized to the driver; only the small rules frame and
     O(num_buckets) count rows are. ``distributed=False`` keeps the
     original pandas path as the row-for-row parity oracle (pinned in
-    tests/test_jobs.py)."""
+    tests/test_jobs_incremental.py)."""
     cfg = job.config
     if not distributed:
         return _run_one_job_pandas(transcripts_path, job)

@@ -157,81 +157,6 @@ def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
     return df
 
 
-def rules_from_supports_ray(supports_ds, n_transactions: int,
-                            min_support: int = 1, beta: float = 1.0,
-                            max_consequent: int | None = 1,
-                            coverage_denominator: str = "transactions",
-                            total_turns: int | None = None):
-    """Distributed rule expansion + scoring: the supports table stays a
-    Dataset; the antecedent/consequent lookup map is broadcast once via
-    ``ray.put`` (bounded by the min_support/top-k pruning — the
-    reference caps candidate itemsets at 600k, ~50 MB as a dict) and
-    each batch of multi-itemset rows expands and scores independently.
-    Use when the candidate table outgrows the driver; result matches
-    ``rules_from_supports`` row-for-row (tested)."""
-    import ray
-
-    # the lookup side: every itemset's support (and turn support) —
-    # collected once; rows stream back through map_batches for expansion
-    sup_df = (supports_ds if isinstance(supports_ds, pd.DataFrame)
-              else supports_ds.to_pandas())
-    maps = {
-        "sup": dict(zip(sup_df["itemset"], sup_df["support"])),
-        "turns": (dict(zip(sup_df["itemset"], sup_df["turn_support"]))
-                  if "turn_support" in sup_df.columns else None),
-    }
-    maps_ref = ray.put(maps)
-
-    import ray.data as rd
-
-    multi = sup_df[sup_df["k"] >= 2]
-    if not len(multi):
-        # keep the return type a Dataset on this data-dependent path too
-        return rd.from_pandas(rules_from_supports(
-            sup_df, n_transactions, min_support, beta, max_consequent,
-            coverage_denominator=coverage_denominator,
-            total_turns=total_turns))
-    ds = rd.from_pandas(multi.reset_index(drop=True))
-
-    def expand(batch: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(maps_ref)
-        sup_map, turn_map = m["sup"], m["turns"]
-        rows = []
-        for itemset, support_ab in zip(batch["itemset"], batch["support"]):
-            if support_ab < min_support:
-                continue
-            items = itemset.split(ITEM_SEP)
-            n = len(items)
-            for r in range(1, n):
-                if max_consequent is not None and n - r > max_consequent:
-                    continue
-                for ante in itertools.combinations(items, r):
-                    cons = tuple(x for x in items if x not in ante)
-                    a_key = ITEM_SEP.join(ante)
-                    b_key = ITEM_SEP.join(cons)
-                    support_a = sup_map.get(a_key)
-                    support_b = sup_map.get(b_key)
-                    if support_a is None or support_b is None:
-                        continue
-                    row = (a_key, b_key, support_ab, support_a, support_b,
-                           len(ante), len(cons))
-                    if turn_map is not None:
-                        row += (turn_map.get(itemset, support_ab),)
-                    rows.append(row)
-        cols = ["antecedent", "consequent", "support_ab", "support_a",
-                "support_b", "n_antecedent", "n_consequent"]
-        if turn_map is not None:
-            cols.append("support_ab_turns")
-        out = pd.DataFrame(rows, columns=cols)
-        if len(out):
-            out = score_columns(out, n_transactions, beta,
-                                coverage_denominator=coverage_denominator,
-                                total_turns=total_turns)
-        return out
-
-    return ds.map_batches(expand, batch_format="pandas")
-
-
 def best_rule(rules: pd.DataFrame, metric: str = "cscore") -> pd.Series:
     """Global argmax (min for l_dist), tie-break on fewer total constraints
     then lexicographic — src/EnvAbacRuleMiner.py:107-122."""

@@ -293,11 +293,14 @@ class KllAgg(_SketchAgg):
 class SketchMergeAgg(AggregateFnV2):
     """Merge a column of already-serialized sketch blobs (binary) into one.
 
-    This is the second phase of the two-phase pattern: stage 1 emits
-    per-partition/per-bucket blobs from an actor pool
-    (``stages.sketch_update``); stage 2 is a tiny groupby-aggregate over
-    those partials — the all-to-all exchange only ever moves O(KB)
-    registers, never rows.
+    This is the second phase of the two-phase pattern for partials whose
+    count follows Ray's batching: stage 1 emits per-batch blobs
+    (``stages.sketch_update``, the greedy's ``rules._tx_sketch_supports``);
+    stage 2 is a tiny groupby-aggregate over those partials — the
+    all-to-all exchange only ever moves O(KB) registers, never rows. Its
+    merge order follows the block layout, so a trimmed top-k tail does
+    too. Itemset supports, with a bounded part count, instead fold in
+    one task in part order (``itemsets.merge_itemset_sketch_partials``).
     """
 
     def __init__(self, on: str = "sketch", alias: str | None = None,

@@ -50,6 +50,115 @@ GOLDEN_SQL = {
     ) AS t(modality, n_items, feature_dim, mean_abs_feature_bp)
     WHERE (SELECT COUNT(*) FROM events) = 10000
     """,
+    "sketch_topk_itemsets": """
+    SELECT * FROM (VALUES
+      (CAST('click=k26' AS VARCHAR), CAST(6 AS BIGINT), CAST(0 AS BIGINT), CAST(15 AS BIGINT), CAST(15 AS BIGINT)),
+      ('purchase=k35', 6, 1, 15, 15),
+      ('purchase=k53', 6, 0, 15, 15),
+      ('view=k50', 6, 1, 15, 15),
+      ('view=k78', 6, 0, 15, 15),
+      ('click=k61', 5, 0, 15, 15),
+      ('click=k63', 5, 0, 15, 15),
+      ('click=k67', 5, 0, 15, 15),
+      ('click=k9', 5, 1, 15, 15),
+      ('error=k76', 5, 0, 15, 15),
+      ('purchase=k38', 5, 0, 15, 15),
+      ('purchase=k4', 5, 2, 15, 15),
+      ('purchase=k60', 5, 2, 15, 15),
+      ('purchase=k81', 5, 0, 15, 15),
+      ('purchase=k9', 5, 2, 15, 15),
+      ('signup=k26', 5, 0, 15, 15),
+      ('signup=k51', 5, 1, 15, 15),
+      ('signup=k53', 5, 2, 15, 15),
+      ('signup=k58', 5, 0, 15, 15),
+      ('signup=k61', 5, 0, 15, 15),
+      ('view=k68', 5, 2, 15, 15),
+      ('view=k69', 5, 2, 15, 15),
+      ('view=k76', 5, 1, 15, 15),
+      ('click=k0', 4, 0, 15, 15),
+      ('click=k10', 4, 0, 15, 15),
+      ('click=k14', 4, 1, 15, 15),
+      ('click=k14|click=k77', 4, 2, 15, 15),
+      ('click=k14|error=k54', 4, 2, 15, 15),
+      ('click=k14|error=k72', 4, 2, 15, 15),
+      ('click=k14|error=k91', 4, 2, 15, 15),
+      ('click=k14|purchase=k3', 4, 2, 15, 15),
+      ('click=k14|purchase=k4', 4, 2, 15, 15),
+      ('click=k14|view=k0', 4, 2, 15, 15),
+      ('click=k14|view=k50', 4, 1, 15, 15),
+      ('click=k18', 4, 1, 15, 15),
+      ('click=k19', 4, 2, 15, 15),
+      ('click=k2', 4, 0, 15, 15),
+      ('click=k22', 4, 0, 15, 15),
+      ('click=k23', 4, 0, 15, 15),
+      ('click=k29', 4, 0, 15, 15),
+      ('click=k34', 4, 0, 15, 15),
+      ('click=k44', 4, 1, 15, 15),
+      ('click=k49', 4, 2, 15, 15),
+      ('click=k51', 4, 0, 15, 15),
+      ('click=k52', 4, 0, 15, 15),
+      ('click=k59', 4, 0, 15, 15),
+      ('click=k72', 4, 2, 15, 15),
+      ('click=k77', 4, 1, 15, 15),
+      ('click=k77|error=k54', 4, 2, 15, 15),
+      ('click=k77|error=k72', 4, 2, 15, 15)
+    ) AS t(itemset, est_support, err_bound, n_transactions, hll_distinct_convs)
+    WHERE (SELECT COUNT(*) FROM events) = 1000
+    UNION ALL
+    SELECT * FROM (VALUES
+      (CAST('signup=k47' AS VARCHAR), CAST(33 AS BIGINT), CAST(8 AS BIGINT), CAST(150 AS BIGINT), CAST(151 AS BIGINT)),
+      ('purchase=k19', 32, 5, 150, 151),
+      ('purchase=k99', 32, 7, 150, 151),
+      ('signup=k39', 32, 6, 150, 151),
+      ('click=k2', 31, 4, 150, 151),
+      ('error=k58', 31, 5, 150, 151),
+      ('view=k45', 31, 6, 150, 151),
+      ('view=k75', 31, 5, 150, 151),
+      ('click=k15', 30, 3, 150, 151),
+      ('click=k38', 30, 3, 150, 151),
+      ('click=k96', 30, 2, 150, 151),
+      ('error=k27', 30, 7, 150, 151),
+      ('error=k48', 30, 5, 150, 151),
+      ('error=k5', 30, 8, 150, 151),
+      ('error=k85', 30, 8, 150, 151),
+      ('purchase=k8', 30, 8, 150, 151),
+      ('view=k5', 30, 7, 150, 151),
+      ('view=k59', 30, 7, 150, 151),
+      ('view=k70', 30, 8, 150, 151),
+      ('click=k88', 29, 3, 150, 151),
+      ('click=k9', 29, 2, 150, 151),
+      ('error=k10', 29, 5, 150, 151),
+      ('error=k80', 29, 9, 150, 151),
+      ('purchase=k28', 29, 7, 150, 151),
+      ('signup=k13', 29, 8, 150, 151),
+      ('signup=k84', 29, 10, 150, 151),
+      ('view=k69', 29, 8, 150, 151),
+      ('view=k93', 29, 7, 150, 151),
+      ('click=k23', 28, 4, 150, 151),
+      ('click=k4', 28, 4, 150, 151),
+      ('click=k54', 28, 4, 150, 151),
+      ('click=k58', 28, 2, 150, 151),
+      ('error=k24', 28, 6, 150, 151),
+      ('error=k37', 28, 6, 150, 151),
+      ('error=k57', 28, 8, 150, 151),
+      ('purchase=k36', 28, 6, 150, 151),
+      ('purchase=k45', 28, 10, 150, 151),
+      ('signup=k21', 28, 9, 150, 151),
+      ('signup=k31', 28, 8, 150, 151),
+      ('signup=k69', 28, 9, 150, 151),
+      ('signup=k7', 28, 7, 150, 151),
+      ('signup=k83', 28, 7, 150, 151),
+      ('signup=k99', 28, 6, 150, 151),
+      ('view=k55', 28, 8, 150, 151),
+      ('view=k66', 28, 8, 150, 151),
+      ('view=k9', 28, 8, 150, 151),
+      ('view=k94', 28, 10, 150, 151),
+      ('click=k1', 27, 3, 150, 151),
+      ('click=k22', 27, 1, 150, 151),
+      ('click=k5', 27, 6, 150, 151)
+    ) AS t(itemset, est_support, err_bound, n_transactions, hll_distinct_convs)
+    WHERE (SELECT COUNT(*) FROM events) = 10000
+    """,
     "policy_scores": """
     SELECT * FROM (VALUES
       (CAST(86 AS BIGINT), CAST(84 AS BIGINT), CAST(67 AS BIGINT), CAST(7 AS BIGINT), CAST(190 AS BIGINT), CAST(7 AS BIGINT), CAST(20 AS BIGINT), CAST('obs-20240101-20240122' AS VARCHAR), CAST(2607 AS BIGINT), CAST(9054 AS BIGINT), CAST(355 AS BIGINT), CAST(9645 AS BIGINT), CAST(2731 AS BIGINT))

@@ -44,6 +44,10 @@ GOLDEN = [
     # cross-CPU hash-stable at 3 and 16 CPUs
     # "simhash_bands" — retired: now fully DERIVED (sqlgen.simhash_bands_sql)
     "multimodal_features",
+    # heavy-hitter itemsets: the sketch partials fold in one task in
+    # (name, part) order, so even a trimming top-k is a function of the
+    # input alone — validated on fresh runs at 2/4/8 CPUs
+    "sketch_topk_itemsets",
     "policy_scores",
     "policy_scores_universe",
     # "hll_role_convs" — retired: HLL estimate now fully DERIVED (register rebuild + exact harmonic sum, sqlgen.hll_role_convs_sql)
@@ -92,7 +96,7 @@ GOLDEN = [
     # "rule_conf_quantiles" — retired: now fully DERIVED (sqlgen.rule_conf_quantiles_sql)
     # NOT pinnable: pfa_features (gram-matrix float partials depend on
     # batch boundaries, so results shift with num_cpus; pytest checks it
-    # against direct numpy instead), sketch_topk/value_quantiles
+    # against direct numpy instead), value_quantiles
     # (merge-order-sensitive sketches), sample_events_bernoulli (Ray-
     # internal sampling), simhash_bands (500-row dump, covered by the
     # pinned simhash_dups)

@@ -1,16 +1,11 @@
-"""Distributed rule scoring and partitioned k=3 supports."""
+"""Partitioned k=3 supports against the shuffle path."""
 
-import numpy as np
 import pandas as pd
 import pytest
 
 from associationabacminer_ray.pipelines.itemsets import (
     exact_itemset_supports,
     itemset_supports_partitioned,
-)
-from associationabacminer_ray.pipelines.rules import (
-    rules_from_supports,
-    rules_from_supports_ray,
 )
 from associationabacminer_ray.sources.transcripts import write_synth_transcripts
 
@@ -19,20 +14,6 @@ from associationabacminer_ray.sources.transcripts import write_synth_transcripts
 def corpus(tmp_path_factory):
     d = tmp_path_factory.mktemp("apriori_corpus")
     return write_synth_transcripts(str(d), n_convs=1000, shards=4)
-
-
-def test_distributed_rules_match_driver(ray_session, corpus):
-    import ray.data as rd
-
-    sup = exact_itemset_supports(rd.read_parquet(corpus), max_k=2,
-                                 num_buckets=8, min_support=2).to_pandas()
-    want = rules_from_supports(sup, n_transactions=1000, min_support=2)
-    got = rules_from_supports_ray(sup, n_transactions=1000,
-                                  min_support=2).to_pandas()
-    key = ["antecedent", "consequent"]
-    want_s = want.sort_values(key).reset_index(drop=True)
-    got_s = got.sort_values(key).reset_index(drop=True)[want_s.columns]
-    pd.testing.assert_frame_equal(got_s, want_s, check_dtype=False)
 
 
 def test_apriori_triples_match_brute_force(ray_session, corpus):

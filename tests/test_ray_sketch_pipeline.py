@@ -76,15 +76,6 @@ class TestExactItemsets:
         got = got.set_index("conv_id")["items"].sort_index()
         pd.testing.assert_series_equal(got, want.sort_index(), check_names=False)
 
-    def test_distinct_convs_per_item(self, transcripts_ds, transcripts_tbl):
-        got = P.item_distinct_convs_exact(transcripts_ds, num_buckets=16).to_pandas()
-        df = transcripts_tbl.to_pandas()
-        df["item"] = df["role"] + "=" + df["tool"]
-        want = df.drop_duplicates(["conv_id", "item"]).groupby("item")["conv_id"].nunique()
-        got = got.set_index("item")["distinct_convs"].sort_index()
-        pd.testing.assert_series_equal(got, want.sort_index().astype(np.int64),
-                                       check_names=False)
-
 
 class TestSketchedItemsets:
     def test_sketch_mode_within_bounds(self, transcripts_ds, transcripts_tbl):
@@ -126,6 +117,53 @@ class TestSketchedItemsets:
         assert part["hll"].to_bytes() == shuf["hll"].to_bytes()
         assert ([(k, c) for k, c, _ in part["topk"].top(50)]
                 == [(k, c) for k, c, _ in shuf["topk"].top(50)])
+
+    def test_merge_is_layout_independent(self, ray_session, transcripts_tbl):
+        """The partial merge folds in (name, part) order, so a top-k
+        small enough to trim on every merge still comes out the same for
+        any row order or block split of the partial rows: the
+        sequential fold in part order, within Space-Saving's bound."""
+        import ray.data as rd
+
+        sizes = dict(cms_width=256, cms_depth=3, topk_capacity=8, hll_p=10)
+        df = transcripts_tbl.to_pandas()
+        convs = np.sort(df["conv_id"].unique())
+        frames, exact = [], Counter()
+        for part, chunk in enumerate(np.array_split(convs, 12)):
+            sub = df[df["conv_id"].isin(chunk)]
+            supports = oracle_supports(sub, max_k=2)
+            exact.update(supports)
+            partial = pd.DataFrame({"itemset": list(supports),
+                                    "count": np.fromiter(supports.values(), np.int64)})
+            frames.append(P.itemset_sketch_partial(
+                partial, hash_strings(pd.Series(chunk)), len(chunk),
+                sizes).assign(part=np.int64(part)))
+        rows = pd.concat(frames, ignore_index=True)
+
+        want: dict = {}
+        for name in P.SKETCH_NAMES:
+            for blob in rows.loc[rows["name"] == name, "blob"]:  # part order
+                sk = Sketch.from_bytes(blob)
+                want[name] = want[name].merge(sk) if name in want else sk
+        for name in ("cms", "hll"):
+            want[name] = want[name].to_bytes()
+
+        rng = np.random.default_rng(7)
+        for n_blocks in (1, 3, 5, 36):
+            shuffled = rows.iloc[rng.permutation(len(rows))].reset_index(drop=True)
+            blocks = [shuffled.iloc[ix]
+                      for ix in np.array_split(np.arange(len(shuffled)), n_blocks)]
+            got = P.merge_itemset_sketch_partials(rd.from_pandas(blocks), sizes)
+            assert got["n_transactions"] == len(convs)
+            assert got["cms"].to_bytes() == want["cms"]
+            assert got["hll"].to_bytes() == want["hll"]
+            topk = got["topk"]
+            assert topk.counters == want["topk"].counters
+            assert topk.total == want["topk"].total == sum(exact.values())
+            assert topk.top() == want["topk"].top()
+            for key, (count, err) in topk.counters.items():
+                assert count - err <= exact[key] <= count, key
+        assert len(want["topk"].counters) == sizes["topk_capacity"]
 
 
 class TestUpdaterStage:
