@@ -15,13 +15,21 @@ Ray Data pipeline:
 Conv-partitioned input skips the shuffle: ``itemset_supports_partitioned``
 reads each shard's dictionary codes and counts them with the same kernel
 (``stages.transactionize.itemset_partials_from_codes``), for any k —
-k = 3 included. Exact mode is the small-scale oracle (and the
-correctness-gate path); sketch mode is the 100 TB path — its shuffle
-moves only fixed-size registers.
+k = 3 included:
+
+  from_items(shard paths) → map_batches(read codes [OR of day ts ranges]
+       → split turns per day → kernel + sketch partial per day)
+       → repartition(1) → one fold per day in (name, part) order
+
+With ``days=`` one read of each shard serves every day. Exact mode is
+the small-scale oracle (and the correctness-gate path); sketch mode is
+the 100 TB path — its shuffle moves only fixed-size registers.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -263,27 +271,36 @@ def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
 
 
 def _fold_in_part_order(rows: pd.DataFrame) -> pd.DataFrame:
-    """One ``(name, blob, n_transactions)`` row per sketch: ``rows``
-    folded through ``merge_blobs`` in ``(name, part)`` order."""
+    """One ``(day, name, blob, n_transactions)`` row per day and sketch:
+    each day's rows folded through ``merge_blobs`` in ``(name, part)``
+    order. Rows without a ``day`` column are all day 0."""
     if rows.empty:
         return rows
-    rows = rows.sort_values(["name", "part"])
-    merged: dict = {}
-    merge_blobs(rows["name"], rows["blob"], merged)
-    # every partial stamps its transaction count on each of its rows, so
-    # any single name's sum is the global total
-    first = rows["name"] == rows["name"].iloc[0]
-    return pd.DataFrame({
-        "name": list(merged),
-        "blob": [sk.to_bytes() for sk in merged.values()],
-        "n_transactions": np.int64(rows.loc[first, "n_transactions"].sum()),
-    })
+    if "day" not in rows.columns:
+        rows = rows.assign(day=np.int64(0))
+    out = []
+    for day, group in rows.sort_values(["day", "name", "part"]).groupby("day"):
+        merged: dict = {}
+        merge_blobs(group["name"], group["blob"], merged)
+        # every partial stamps its transaction count on each of its rows,
+        # so any single name's sum is the day's total
+        first = group["name"] == group["name"].iloc[0]
+        out.append(pd.DataFrame({
+            "day": np.int64(day),
+            "name": list(merged),
+            "blob": [sk.to_bytes() for sk in merged.values()],
+            "n_transactions": np.int64(group.loc[first, "n_transactions"].sum()),
+        }))
+    return pd.concat(out, ignore_index=True)
 
 
-def merge_itemset_sketch_partials(partials: Dataset, sizes: dict) -> dict:
+def merge_itemset_sketch_partials(partials: Dataset, sizes: dict,
+                                  n_days: int | None = None):
     """Merge ``itemset_sketch_partial`` rows (plus ``part``) into
     ``{"cms", "topk", "hll", "n_transactions"}``; empty input gives
-    fresh zero-state sketches of ``sizes``.
+    fresh zero-state sketches of ``sizes``. With ``n_days`` every row
+    also carries an int ``day`` in ``[0, n_days)``, each day's rows merge
+    on their own, and the result is a list of ``n_days`` such dicts.
 
     The rows go to one block and fold there through ``merge_blobs``, the
     loop of window queries and checkpoint resume, in ``(name, part)``
@@ -296,14 +313,21 @@ def merge_itemset_sketch_partials(partials: Dataset, sizes: dict) -> dict:
             .map_batches(_fold_in_part_order, batch_size=None,
                          batch_format="pandas")
             .take_all())
-    if not rows:
-        return {"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
-                "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
-                "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0}
-    out: dict = {}
-    merge_blobs([r["name"] for r in rows], [r["blob"] for r in rows], out)
-    out["n_transactions"] = int(rows[0]["n_transactions"])
-    return out
+    out = []
+    for day in range(1 if n_days is None else n_days):
+        day_rows = [r for r in rows if r["day"] == day]
+        if not day_rows:
+            out.append({"cms": CountMinSketch(width=sizes["cms_width"],
+                                              depth=sizes["cms_depth"]),
+                        "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
+                        "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0})
+            continue
+        merged: dict = {}
+        merge_blobs([r["name"] for r in day_rows], [r["blob"] for r in day_rows],
+                    merged)
+        merged["n_transactions"] = int(day_rows[0]["n_transactions"])
+        out.append(merged)
+    return out if n_days is not None else out[0]
 
 
 def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 2,
@@ -360,7 +384,7 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
                                  topk_capacity: int = 4096, hll_p: int = 14,
                                  merge_buckets: int = 32,
                                  with_turn_counts: bool = False,
-                                 day: datetime | None = None,
+                                 days: list[datetime] | None = None,
                                  itemset_hash: str = "sip",
                                  conv_hash: str = "sip"):
     """Shuffle-free supports for conv-partitioned input.
@@ -376,17 +400,22 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     (``exact_/sketched_itemset_supports``) exists for un-partitioned
     input.
 
-    ``day`` restricts every shard to rows with ``ts`` in
-    ``[day, day + 1 day)``, pushed into the parquet read; a transaction
-    is then one conversation's turns of that day, keyed
-    ``conv_id@YYYY-MM-DD`` (the ``state.incremental.add_conv_day`` key,
-    so one ``DailySketchStore`` day needs no shuffle). ``itemset_hash``
-    and ``conv_hash`` pick the CMS itemset-key and HLL conversation-key
+    ``days`` (sketch mode only) is an ascending list of distinct
+    calendar days at midnight; the result is then one sketch dict per
+    day, in that order. Each shard is read once, with the OR of the days'
+    ``[day, day + 1 day)`` ``ts`` ranges pushed into the parquet read;
+    its turns are split per day, and a day's transaction is one
+    conversation's turns of that day, keyed ``conv_id@YYYY-MM-DD`` (the
+    ``state.incremental.add_conv_day`` key, so ``DailySketchStore``
+    builds all its missing days in one pass with no shuffle). A day
+    with no turn gives fresh sketches. ``itemset_hash`` and
+    ``conv_hash`` pick the CMS itemset-key and HLL conversation-key
     hash families, as in ``sketched_itemset_supports``: ``"sip"``
     (default) or the SQL-derivable ``"poly"``.
 
     mode="exact"  → Dataset (itemset, k, support)
-    mode="sketch" → {"cms", "topk", "hll", "n_transactions"}
+    mode="sketch" → {"cms", "topk", "hll", "n_transactions"}, or a list
+    of them with ``days``
     """
     import ray.data as rd
 
@@ -395,10 +424,20 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
                  topk_capacity=topk_capacity, hll_p=hll_p)
     ihash = _itemset_hash_fn(itemset_hash)
     chash = _itemset_hash_fn(conv_hash)
-    if day is not None and day.time() != datetime.min.time():
-        raise ValueError(f"day must be a calendar day at midnight, got {day}")
-    day_filter = None if day is None else ts_range(day, day + timedelta(days=1))
-    conv_suffix = "" if day is None else f"@{day:%Y-%m-%d}"
+    day_filter = None
+    if days is not None:
+        if not sketch:
+            raise ValueError("days= needs mode='sketch'")
+        for day in days:
+            if day.time() != datetime.min.time():
+                raise ValueError(f"day must be a calendar day at midnight, got {day}")
+        if list(days) != sorted(set(days)):
+            raise ValueError(f"days must be distinct and ascending, got {days}")
+        if not days:
+            return []
+        day_filter = functools.reduce(operator.or_, (
+            ts_range(day, day + timedelta(days=1)) for day in days))
+        day_starts = np.array(days, dtype="datetime64[us]")
 
     def process_shard(batch: pd.DataFrame) -> pd.DataFrame:
         from ..stages.transactionize import (
@@ -408,26 +447,40 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
 
         frames = []
         for path, part in zip(batch["path"], batch["part"]):
-            conv_codes, item_codes, item_vocab, conv_vocab = read_shard_codes(
-                path, conv_col=conv_col, filters=day_filter)
-            partial = itemset_partials_from_codes(
-                conv_codes, item_codes, item_vocab, max_k=max_k,
-                max_transaction_items=max_transaction_items,
-                with_turn_counts=with_turn_counts and not sketch)
-            if not sketch:
-                frames.append(partial)
-                continue
-            used = np.unique(conv_codes)
-            frames.append(itemset_sketch_partial(
-                partial, chash(conv_vocab[used] + conv_suffix), len(used),
-                sizes, hash_itemsets=ihash).assign(part=np.int64(part)))
+            if days is None:
+                codes = read_shard_codes(path, conv_col=conv_col)
+                groups = [(0, slice(None), "")]
+            else:
+                codes = read_shard_codes(path, conv_col=conv_col,
+                                         filters=day_filter, ts_col="ts")
+                # the pushed-down filter left only turns of some day
+                row_day = np.searchsorted(day_starts.astype(codes[4].dtype),
+                                          codes[4], side="right") - 1
+                groups = [(d, row_day == d, f"@{day:%Y-%m-%d}")
+                          for d, day in enumerate(days)]
+            conv_all, item_all, item_vocab, conv_vocab = codes[:4]
+            for d, rows, conv_suffix in groups:
+                conv_codes, item_codes = conv_all[rows], item_all[rows]
+                partial = itemset_partials_from_codes(
+                    conv_codes, item_codes, item_vocab, max_k=max_k,
+                    max_transaction_items=max_transaction_items,
+                    with_turn_counts=with_turn_counts and not sketch)
+                if not sketch:
+                    frames.append(partial)
+                    continue
+                used = np.unique(conv_codes)
+                frames.append(itemset_sketch_partial(
+                    partial, chash(conv_vocab[used] + conv_suffix), len(used),
+                    sizes, hash_itemsets=ihash).assign(part=np.int64(part),
+                                                       day=np.int64(d)))
         return pd.concat(frames, ignore_index=True)
 
     shards = rd.from_items([{"path": p, "part": i} for i, p in enumerate(paths)])
     partials = shards.map_batches(process_shard, batch_format="pandas",
                                   batch_size=1)
     if sketch:
-        return merge_itemset_sketch_partials(partials, sizes)
+        return merge_itemset_sketch_partials(
+            partials, sizes, None if days is None else len(days))
 
     extra = ["turn_count"] if with_turn_counts else None
     agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
@@ -462,7 +515,9 @@ def sketched_itemset_supports_checkpointed(
     ``itemset_supports_partitioned`` (so shards are conv-partitioned,
     as that path requires). A killed run resumes by loading finished
     shards' blobs and recomputing only the rest; merge associativity
-    makes resume == fresh bit-for-bit for CMS/HLL (property-tested)."""
+    makes resume == fresh bit-for-bit for CMS/HLL (property-tested).
+    ``n_transactions`` is exact: each partition stores its shard's count
+    as ``row_count``, and a resumed run reads it back."""
     config = {
         "pipeline": "sketched_itemset_supports", "max_k": max_k,
         "conv_col": conv_col, "max_tx": max_transaction_items,
@@ -480,5 +535,6 @@ def sketched_itemset_supports_checkpointed(
         return {k: res[k] for k in SKETCH_NAMES}, res["n_transactions"]
 
     merged = run_with_checkpoint(input_files, ckpt_dir, compute_partition, config)
-    merged["n_transactions"] = int(round(merged["hll"].estimate()))
+    # shards are conv-partitioned, so their exact counts sum to the total
+    merged["n_transactions"] = int(merged.pop("row_count"))
     return merged

@@ -89,8 +89,3 @@ class NormalizeTurns:
         out["is_long_text"] = (tlen > self.long_text_chars).astype(bool)
         out["is_empty_text"] = (tlen == 0).astype(bool)
         return out
-
-
-def normalize_transcripts(ds, **kwargs):
-    """transcripts Dataset → normalized Dataset (row-preserving)."""
-    return ds.map_batches(NormalizeTurns(**kwargs), batch_format="pandas")

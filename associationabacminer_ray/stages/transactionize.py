@@ -193,22 +193,24 @@ def itemset_partials_from_codes(conv_codes: np.ndarray, item_codes: np.ndarray,
 
 
 def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role",
-                     tool_col: str = "tool", filters=None):
+                     tool_col: str = "tool", filters=None, ts_col: str | None = None):
     """Read one parquet shard dictionary-encoded and return
     (conv_codes, item_codes, item_vocab, conv_vocab) with normalization
     (''/null → NONE) applied at VOCAB level — O(vocab), not O(rows).
 
     ``filters`` is a row predicate pushed into the parquet read
     (``pq.read_table(filters=...)``), e.g. ``functions.windows.ts_range``
-    for one day; it may name columns that are not returned. Row groups
-    it excludes are skipped, and a shard with no matching row gives
-    empty codes."""
+    for one day, or an OR of such ranges; it may name columns that are
+    not returned. Row groups it excludes are skipped, and a shard with
+    no matching row gives empty codes. With ``ts_col`` the tuple gains a
+    fifth array: that column's datetime64 values, one per turn, so the
+    caller can split the turns by time without a second read."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    t = pq.read_table(path, columns=[conv_col, role_col, tool_col],
-                      read_dictionary=[conv_col, role_col, tool_col],
-                      filters=filters)
+    dict_cols = [conv_col, role_col, tool_col]
+    t = pq.read_table(path, columns=dict_cols + ([ts_col] if ts_col else []),
+                      read_dictionary=dict_cols, filters=filters)
 
     def codes_and_vocab(col):
         arr = t.column(col)
@@ -243,7 +245,10 @@ def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role
                     dtype=object)
     item_vocab, canon = np.unique(strs, return_inverse=True)
     item_codes = canon[inv]
-    return conv_codes, item_codes, item_vocab.astype(object), conv_vocab
+    codes = conv_codes, item_codes, item_vocab.astype(object), conv_vocab
+    if ts_col is None:
+        return codes
+    return *codes, t.column(ts_col).to_numpy()
 
 
 def itemset_partials_in_bucket(group: pd.DataFrame, conv_col: str = "conv_id",

@@ -134,26 +134,32 @@ def run_with_checkpoint(
     ckpt_dir: str,
     compute_partition: Callable[[int, str], tuple[dict[str, Sketch], int]],
     config: dict,
-) -> dict[str, Sketch]:
+) -> dict:
     """Compute-or-load every input shard's partial sketches, then merge.
 
     ``compute_partition(pid, path) -> (sketches, row_count)`` runs the
     actual (Ray or local) pipeline for one shard. Already-checkpointed
     shards are skipped entirely — the resume contract of FIXTURES §F5.
+    Returns the merged sketches by name plus ``"row_count"``, the sum of
+    every partition's ``row_count`` (read back from the files of
+    skipped shards).
     """
     cfg = config_hash(config)
     done = completed_partitions(ckpt_dir, cfg)
     merged: dict[str, Sketch] = {}
+    total_rows = 0
 
     for pid, path in enumerate(input_files):
         if pid in done:
-            tbl = read_partition(done[pid], cfg, ("name", "blob", "input_files"))
+            tbl = read_partition(done[pid], cfg,
+                                 ("name", "blob", "input_files", "row_count"))
             # lineage check: a reordered/extended file list must NOT let a
             # positional match absorb another shard's blobs
             if (tbl.num_rows and json.loads(tbl.column("input_files")[0].as_py())
                     == [str(path)]):
                 merge_blobs(tbl.column("name").to_pylist(),
                             tbl.column("blob").to_pylist(), merged)
+                total_rows += tbl.column("row_count")[0].as_py()
                 continue
         t0 = time.perf_counter()
         sketches, row_count = compute_partition(pid, path)
@@ -161,4 +167,5 @@ def run_with_checkpoint(
                         wall_s=time.perf_counter() - t0)
         # merge decoded copies: the caller's sketch objects stay unaliased
         merge_blobs(sketches.keys(), [s.to_bytes() for s in sketches.values()], merged)
-    return merged
+        total_rows += row_count
+    return {**merged, "row_count": total_rows}

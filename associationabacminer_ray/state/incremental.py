@@ -13,11 +13,13 @@ store's config hash), so a window opens exactly its own days' files.
 Input contract: the transcripts source is a list of
 conversation-partitioned parquet shards — no conversation spans two
 files (``sources.transcripts.write_synth_transcripts`` and the events
-transcripts cache write them that way). A day is then built per shard
-with no shuffle: ``pipelines.itemsets.itemset_supports_partitioned``
-with ``day=`` pushes the day's ``ts`` range into each shard's parquet
-read, counts that shard's itemsets and sketches them, and only the
-per-shard blobs are merged.
+transcripts cache write them that way). Days are then built per shard
+with no shuffle, all missing days in one pass:
+``pipelines.itemsets.itemset_supports_partitioned`` with ``days=``
+pushes the OR of the days' ``ts`` ranges into each shard's parquet
+read, splits the shard's turns per day, counts and sketches each day's
+itemsets, and only the per-shard, per-day blobs are merged, each day on
+its own. Each day is still written to its own file.
 
 Transaction unit: ``(conv_id, day)`` — a conversation spanning a day
 boundary contributes one transaction per day it touches (this is what
@@ -86,36 +88,41 @@ class DailySketchStore:
         }
         self.cfg = config_hash(self.params)
 
-    def _build_day(self, paths: list[str], day: datetime) -> dict[str, Sketch]:
+    def ensure_days(self, paths: list[str], start: datetime, end: datetime) -> int:
+        """Compute-and-checkpoint every missing day partial in [start, end)
+        from the conversation-partitioned shards ``paths`` and return how
+        many days were (re)built. All missing days come from one
+        ``itemset_supports_partitioned(days=…)`` call — one read of each
+        shard, however many days are missing — and each day is then
+        written to its own file. A day's ``row_count`` is its exact
+        transaction count; ``wall_s`` is the wall time of the call that
+        built it, shared by the days built together."""
         from ..pipelines.itemsets import SKETCH_NAMES, itemset_supports_partitioned
 
-        p = self.params
-        res = itemset_supports_partitioned(
-            paths, mode="sketch", max_k=p["max_k"],
-            max_transaction_items=p["max_tx"], cms_width=p["cms_width"],
-            cms_depth=p["cms_depth"], topk_capacity=p["topk_capacity"],
-            hll_p=p["hll_p"], day=day, itemset_hash=p["itemset_hash"],
-            conv_hash=p["conv_hash"])
-        return {k: res[k] for k in SKETCH_NAMES}
-
-    def ensure_days(self, paths: list[str], start: datetime, end: datetime) -> int:
-        """Compute-and-checkpoint any missing day partials in [start, end)
-        from the conversation-partitioned shards ``paths``; returns how
-        many days were (re)built."""
         done = completed_partitions(self.store_dir, self.cfg)
-        inputs = [str(path) for path in paths]
-        built = 0
+        missing = []
         day = start
         while day < end:
-            pid = _day_id(day)
-            if pid not in done:
-                t0 = time.perf_counter()
-                sketches = self._build_day(inputs, day)
-                write_partition(self.store_dir, pid, sketches, inputs, 0,
-                                self.cfg, wall_s=time.perf_counter() - t0)
-                built += 1
+            if _day_id(day) not in done:
+                missing.append(day)
             day += timedelta(days=1)
-        return built
+        if not missing:
+            return 0
+        inputs = [str(path) for path in paths]
+        p = self.params
+        t0 = time.perf_counter()
+        results = itemset_supports_partitioned(
+            inputs, mode="sketch", max_k=p["max_k"],
+            max_transaction_items=p["max_tx"], cms_width=p["cms_width"],
+            cms_depth=p["cms_depth"], topk_capacity=p["topk_capacity"],
+            hll_p=p["hll_p"], days=missing, itemset_hash=p["itemset_hash"],
+            conv_hash=p["conv_hash"])
+        wall_s = time.perf_counter() - t0
+        for day, res in zip(missing, results):
+            write_partition(self.store_dir, _day_id(day),
+                            {k: res[k] for k in SKETCH_NAMES}, inputs,
+                            res["n_transactions"], self.cfg, wall_s=wall_s)
+        return len(missing)
 
     def window_sketches(self, start: datetime, end: datetime) -> dict[str, Sketch]:
         """Merge the daily blobs covering [start, end): the listing opens

@@ -109,6 +109,12 @@ class TestRaySketchCheckpoint:
         assert resumed["hll"].to_bytes() == fresh["hll"].to_bytes()
         assert [k for k, _, _ in resumed["topk"].top(10)] == [
             k for k, _, _ in fresh["topk"].top(10)]
+        # the exact transaction count, not the HLL estimate: summed from
+        # each shard's row_count, read back for the resumed shards
+        n_convs = len(set().union(*(pq.read_table(p, columns=["conv_id"])
+                                    .column("conv_id").to_pylist() for p in paths)))
+        assert n_convs == 1200
+        assert fresh["n_transactions"] == resumed["n_transactions"] == n_convs
 
 
 def test_resume_lineage_guard_reordered_files(tmp_path):

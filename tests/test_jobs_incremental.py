@@ -232,6 +232,130 @@ class TestIncrementalDailyStore:
             store.window_sketches(datetime(2024, 1, 1), datetime(2024, 1, 2))
 
 
+def _day_rows(store, day):
+    """A stored day's ``(name, blob, row_count)`` rows."""
+    from associationabacminer_ray.state.checkpoint import (
+        completed_partitions,
+        read_partition,
+    )
+
+    path = completed_partitions(store.store_dir, store.cfg)[day.toordinal()]
+    return read_partition(path, store.cfg, ["name", "blob", "row_count"]).to_pylist()
+
+
+class TestOnePassDayBuild:
+    """``ensure_days`` builds every missing day from one read of each
+    shard; each day equals a build of that day alone."""
+
+    @pytest.mark.parametrize("hash_family", ["sip", "poly"])
+    def test_all_days_equal_one_day_builds(self, ray_session, corpus, tmp_path,
+                                           hash_family):
+        from associationabacminer_ray.pipelines.itemsets import (
+            itemset_supports_partitioned,
+        )
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = DailySketchStore(str(tmp_path / "daily"), itemset_hash=hash_family,
+                                 conv_hash=hash_family)
+        # the corpus's 40 days, the last turns' spill day and an empty day
+        # on each side
+        start, end = datetime(2023, 12, 31), datetime(2024, 2, 12)
+        assert store.ensure_days(corpus, start, end) == 43
+        p = store.params
+        totals = []
+        for d in range(43):
+            day = start + timedelta(days=d)
+            got = store.window_sketches(day, day + timedelta(days=1))
+            [want] = itemset_supports_partitioned(
+                corpus, mode="sketch", max_k=p["max_k"],
+                max_transaction_items=p["max_tx"], cms_width=p["cms_width"],
+                cms_depth=p["cms_depth"], topk_capacity=p["topk_capacity"],
+                hll_p=p["hll_p"], days=[day], itemset_hash=hash_family,
+                conv_hash=hash_family)
+            assert got["cms"].to_bytes() == want["cms"].to_bytes(), day
+            assert got["hll"].to_bytes() == want["hll"].to_bytes(), day
+            assert got["topk"].counters == want["topk"].counters, day
+            assert got["topk"].total == want["topk"].total, day
+            assert _day_rows(store, day)[0]["row_count"] == want["n_transactions"]
+            totals.append(want["topk"].total)
+        assert totals[0] == totals[-1] == 0 and min(totals[1:41]) > 0
+
+    def test_row_count_is_days_transactions(self, ray_session, corpus, tmp_path):
+        import pyarrow.parquet as pq
+
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = DailySketchStore(str(tmp_path / "daily"))
+        start, end = datetime(2024, 1, 3), datetime(2024, 1, 8)
+        assert store.ensure_days(corpus, start, end) == 5
+        df = pd.concat([pq.read_table(p, columns=["conv_id", "ts"]).to_pandas()
+                        for p in corpus])
+        keys = df["conv_id"] + "@" + df["ts"].dt.strftime("%Y-%m-%d")
+        day = start
+        while day < end:
+            want = keys[df["ts"].dt.normalize() == day].nunique()
+            assert want > 0
+            assert {r["row_count"] for r in _day_rows(store, day)} == {want}, day
+            day += timedelta(days=1)
+
+    def test_turn_at_midnight_belongs_to_its_day(self, ray_session, tmp_path):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from associationabacminer_ray.pipelines.itemsets import (
+            itemset_supports_partitioned,
+        )
+
+        ts = pd.to_datetime(["2024-01-01 23:59:59.999999", "2024-01-02 00:00:00.0",
+                             "2024-01-02 00:00:00.0", "2024-01-03 00:00:00.0"])
+        path = str(tmp_path / "shard.parquet")
+        pq.write_table(pa.table({"conv_id": ["a", "a", "b", "b"],
+                                 "role": ["tool"] * 4, "tool": ["x", "y", "y", "z"],
+                                 "ts": pa.array(ts, pa.timestamp("us"))}), path)
+        jan1, jan2 = datetime(2024, 1, 1), datetime(2024, 1, 2)
+        got = itemset_supports_partitioned([path], mode="sketch", days=[jan1, jan2],
+                                           topk_capacity=8, hll_p=10)
+        assert [r["n_transactions"] for r in got] == [1, 2]
+        assert got[0]["topk"].counters == {"tool=x": [1, 0]}
+        assert got[1]["topk"].counters == {"tool=y": [2, 0]}
+        for days in ([jan1, jan1], [jan2, jan1]):
+            with pytest.raises(ValueError, match="distinct and ascending"):
+                itemset_supports_partitioned([path], days=days)
+        with pytest.raises(ValueError, match="sketch"):
+            itemset_supports_partitioned([path], mode="exact", days=[jan1])
+
+    def test_gaps_rebuild_in_one_call(self, ray_session, corpus, tmp_path,
+                                      monkeypatch):
+        import associationabacminer_ray.pipelines.itemsets as itemsets
+        from associationabacminer_ray.state.checkpoint import completed_partitions
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        calls = []
+        real = itemsets.itemset_supports_partitioned
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["days"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(itemsets, "itemset_supports_partitioned", counting)
+        store = DailySketchStore(str(tmp_path / "daily"))
+        start, end = datetime(2024, 1, 3), datetime(2024, 1, 10)
+        assert store.ensure_days(corpus, start, end) == 7
+        assert len(calls) == 1 and len(calls[0]) == 7
+        days = [start + timedelta(days=d) for d in range(7)]
+        before = {day: _day_rows(store, day) for day in days}
+        done = completed_partitions(store.store_dir, store.cfg)
+        for d in (2, 5):
+            os.remove(done[days[d].toordinal()])
+        calls.clear()
+        assert store.ensure_days(corpus, start, end) == 2
+        assert calls == [[days[2], days[5]]]
+        assert {day: _day_rows(store, day) for day in days} == before
+        calls.clear()
+        assert store.ensure_days(corpus, start, end) == 0
+        assert calls == []
+
+
 def _fake_store(store_dir, days, **params):
     """A ``DailySketchStore`` whose days from 2024-01-01 on hold small
     sketches of day-derived keys, written straight through

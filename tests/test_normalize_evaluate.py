@@ -19,7 +19,7 @@ from associationabacminer_ray.stages.anonymize import (
     KeyedHashAnonymizer,
     SequentialAnonymizer,
 )
-from associationabacminer_ray.stages.normalize import NormalizeTurns, normalize_transcripts
+from associationabacminer_ray.stages.normalize import NormalizeTurns
 
 
 class TestNormalizer:
@@ -53,7 +53,7 @@ class TestNormalizer:
         import ray.data as rd
 
         tbl = synth_transcripts(500, seed=7)
-        ds = normalize_transcripts(rd.from_arrow(tbl))
+        ds = rd.from_arrow(tbl).map_batches(NormalizeTurns(), batch_format="pandas")
         got = (ds.to_pandas().sort_values(["conv_id", "turn_idx"])
                .reset_index(drop=True))
         want = (tbl.to_pandas().sort_values(["conv_id", "turn_idx"])
