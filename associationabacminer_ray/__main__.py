@@ -2,7 +2,7 @@
 
 Usage (owns its Ray session; guarded for pre-initialised ones):
 
-  python -m associationabacminer_ray supports  --input DIR_OR_GLOB [--mode exact|sketch|partitioned] [--max-k 2] [--min-support 2] --out OUT.parquet
+  python -m associationabacminer_ray supports  --input DIR_OR_GLOB [--mode exact|sketch|partitioned] [--ckpt-dir DIR] [--max-k 2] [--min-support 2] --out OUT.parquet
   python -m associationabacminer_ray mine      --input ... --obs-start 2024-01-01 --obs-days 14 [--greedy] --out policy.parquet
   python -m associationabacminer_ray score     --input ... --obs-start 2024-01-01 --obs-days 14 --opr-days 3 --out scores.json
   python -m associationabacminer_ray sweep     --input ... --start 2024-01-01 --end 2024-02-01 [--obs-days 14 --opr-days 3 --step-days 7] --out scores_dir/
@@ -12,7 +12,10 @@ Usage (owns its Ray session; guarded for pre-initialised ones):
 
 ``--input`` accepts a parquet file, directory, or glob of transcript
 shards (conv_id, turn_idx, role, text, tool, ts); ``--sf-dir`` is a
-directory holding a documents.parquet table.
+directory holding a documents.parquet table. ``supports --mode sketch
+--ckpt-dir DIR`` is the resumable run: one checkpoint partition per
+input shard under DIR, so a rerun recomputes only the shards that have
+none.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ def _resolve_input(spec: str) -> list[str]:
     return hits
 
 
-def _init_ray(num_cpus: int | None):
-    """Own the Ray session for a CLI run. Local by default; set
+def _init_ray(num_cpus: int | None) -> bool:
+    """Own the Ray session for a CLI run; returns whether this call
+    started it (a session already running stays the caller's, and
+    ``main`` does not shut it down). Local by default; set
     ``GRAFT_RAY_ADDRESS`` to attach to an existing cluster instead —
     ``auto`` is what a ``ray job submit`` entrypoint wants (the job
     runtime injects the cluster address), any ``ray://...`` URI works
@@ -45,7 +50,8 @@ def _init_ray(num_cpus: int | None):
     protocol varies the CLUSTER, not this flag — scripts/submit_job.sh)."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         addr = os.environ.get("GRAFT_RAY_ADDRESS", "local")
         if addr == "local":
             ray.init(address="local", num_cpus=num_cpus,
@@ -61,6 +67,11 @@ def _init_ray(num_cpus: int | None):
     # the benign Ray-internal empty-partition artifact (PERF.md #30);
     # typed→typed schema drift still warns
     quiet_ray_empty_schema_warnings()
+    return started
+
+
+_ONE_CONV_PER_FILE = ("assumes no conversation spans two input files "
+                      "(shard by conv_id, not by time)")
 
 
 def cmd_supports(args) -> None:
@@ -70,18 +81,25 @@ def cmd_supports(args) -> None:
         exact_itemset_supports,
         itemset_supports_partitioned,
         sketched_itemset_supports,
+        sketched_itemset_supports_checkpointed,
     )
 
+    if args.ckpt_dir and args.mode != "sketch":
+        raise SystemExit("--ckpt-dir needs --mode sketch")
     paths = _resolve_input(args.input)
     if args.mode == "partitioned":
-        print("note: --mode partitioned assumes no conversation spans two "
-              "input files (shard by conv_id, not by time)", file=sys.stderr)
+        print(f"note: --mode partitioned {_ONE_CONV_PER_FILE}", file=sys.stderr)
         out = itemset_supports_partitioned(paths, mode="exact", max_k=args.max_k,
                                            min_support=args.min_support).to_pandas()
     elif args.mode == "sketch":
-        res = sketched_itemset_supports(
-            rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
-            max_k=args.max_k)
+        if args.ckpt_dir:
+            print(f"note: --ckpt-dir {_ONE_CONV_PER_FILE}", file=sys.stderr)
+            res = sketched_itemset_supports_checkpointed(
+                paths, args.ckpt_dir, max_k=args.max_k)
+        else:
+            res = sketched_itemset_supports(
+                rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
+                max_k=args.max_k)
         import pandas as pd
 
         from .stages.transactionize import ITEM_SEP
@@ -226,6 +244,9 @@ def main(argv: list[str] | None = None) -> None:
     common(sp)
     sp.add_argument("--mode", choices=["exact", "sketch", "partitioned"],
                     default="exact")
+    sp.add_argument("--ckpt-dir", default=None,
+                    help="sketch mode: checkpoint each input shard here and "
+                         "resume from the shards already done")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_supports)
 
@@ -276,13 +297,14 @@ def main(argv: list[str] | None = None) -> None:
     sp.set_defaults(fn=cmd_pack)
 
     args = p.parse_args(argv)
-    _init_ray(args.num_cpus)
+    started = _init_ray(args.num_cpus)
     try:
         args.fn(args)
     finally:
-        import ray
+        if started:
+            import ray
 
-        ray.shutdown()
+            ray.shutdown()
 
 
 if __name__ == "__main__":

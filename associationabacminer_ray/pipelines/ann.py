@@ -6,10 +6,10 @@
   top-k, same shape as A7's truncation). Oracle-checked (ranks only —
   integer columns, so float precision can't flip the value hash unless
   two similarities tie within ~1e-7, which the test corpus doesn't).
-- ``q_knn_ivf``: the scale path — a seeded k-means-lite codebook
+- ``knn_ivf``: the scale path — a seeded k-means-lite codebook
   (trained on a driver-side sample) buckets vectors; queries probe the
-  ``nprobe`` nearest buckets only. Approximate; pytest checks recall
-  against brute force.
+  ``nprobe`` nearest buckets only. Approximate; ``q_knn_ivf_recall``
+  checks its recall against brute force.
 """
 
 from __future__ import annotations
@@ -196,10 +196,6 @@ def knn_ivf(sf_dir: str, n_queries: int = 5, k: int = 5, n_clusters: int = 16,
     top = partials.groupby("query_id", sort=True).head(k).reset_index(drop=True)
     top["rank"] = top.groupby("query_id", sort=False).cumcount() + 1
     return top[["query_id", "neighbor_id", "rank"]].astype(np.int64)
-
-
-def q_knn_ivf(sf_dir: str) -> pd.DataFrame:
-    return knn_ivf(sf_dir)
 
 
 def q_knn_ivf_recall(sf_dir: str, min_hits: int = 3, n_queries: int = 5,

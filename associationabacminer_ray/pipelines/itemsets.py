@@ -376,13 +376,17 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
     return merge_itemset_sketch_partials(partials, sizes)
 
 
+# buckets of the exact partitioned path's one exchange: the small merge
+# of per-shard (itemset, count) partials
+MERGE_BUCKETS = 32
+
+
 def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
                                  conv_col: str = "conv_id", max_k: int = 2,
                                  max_transaction_items: int | None = 64,
                                  min_support: int = 1,
                                  cms_width: int = 1 << 13, cms_depth: int = 4,
                                  topk_capacity: int = 4096, hll_p: int = 14,
-                                 merge_buckets: int = 32,
                                  with_turn_counts: bool = False,
                                  days: list[datetime] | None = None,
                                  itemset_hash: str = "sip",
@@ -484,7 +488,7 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
 
     extra = ["turn_count"] if with_turn_counts else None
     agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
-                              num_buckets=merge_buckets,
+                              num_buckets=MERGE_BUCKETS,
                               extra_value_cols=extra)
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:

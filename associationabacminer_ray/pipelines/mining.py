@@ -66,7 +66,7 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
         policy = greedy_cover_ray(tx, n_transactions=n_tx, metric=metric,
                                   max_rounds=max_rounds,
                                   min_support=min_support, max_k=max_k,
-                                  mode=mode)
+                                  beta=beta, mode=mode)
         rules = policy
     else:
         if mode == "sketch":

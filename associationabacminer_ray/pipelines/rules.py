@@ -29,6 +29,15 @@ from ..functions.scoring import MINIMIZED_METRICS, score_columns
 from ..sketches import BloomFilter
 from ..stages.transactionize import ITEM_SEP
 
+# greedy_cover_ray: covered-conversation Bloom size, and the bucket
+# count of its exact per-round support merge
+GREEDY_BLOOM_BITS = 1 << 24
+GREEDY_MERGE_BUCKETS = 32
+# _tx_sketch_supports: per-round CMS and top-k sizes
+TX_SKETCH_CMS_WIDTH = 1 << 13
+TX_SKETCH_CMS_DEPTH = 4
+TX_SKETCH_TOPK_CAPACITY = 4096
+
 
 def extract_constant_items(supports: pd.DataFrame,
                            n_transactions: int) -> tuple[pd.DataFrame, list[str]]:
@@ -75,26 +84,6 @@ def reinject_constant_items(rules: pd.DataFrame, constants: list[str]) -> pd.Dat
     out["antecedent"] = out["antecedent"] + ITEM_SEP + suffix
     out["n_antecedent"] = out["n_antecedent"] + len(constants)
     return out
-
-
-def policy_constraint_summary(rules: pd.DataFrame) -> pd.DataFrame:
-    """A18 (``ConfigPolicySummarizer.py:18-40``): frequency of every
-    constraint item and of every field (the part left of '=') across a
-    policy's rules."""
-    from collections import Counter
-
-    items: Counter = Counter()
-    fields: Counter = Counter()
-    for _, r in rules.iterrows():
-        parts = r["antecedent"].split(ITEM_SEP) + r["consequent"].split(ITEM_SEP)
-        for p in parts:
-            items[p] += 1
-            fields[p.split("=", 1)[0]] += 1
-    rows = ([("item", k, v) for k, v in items.items()]
-            + [("field", k, v) for k, v in fields.items()])
-    return (pd.DataFrame(rows, columns=["kind", "name", "n"])
-            .sort_values(["kind", "n", "name"], ascending=[True, False, True])
-            .reset_index(drop=True))
 
 
 def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
@@ -188,9 +177,7 @@ def _batch_itemset_partials(items: pd.Series, max_k: int) -> pd.DataFrame:
                                        max_k=max_k, max_transaction_items=None)
 
 
-def _tx_sketch_supports(tx_ds, max_k: int = 2, cms_width: int = 1 << 13,
-                        cms_depth: int = 4,
-                        topk_capacity: int = 4096) -> pd.DataFrame:
+def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     """Sketch-mode per-round support counting over a (conv_id, items)
     transactions Dataset: each BATCH (rows are one-per-conversation, so
     batches never double-count) expands itemsets into a CMS + top-k
@@ -207,8 +194,9 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2, cms_width: int = 1 << 13,
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
         partial = _batch_itemset_partials(batch["items"], max_k)
-        cms = CountMinSketch(width=cms_width, depth=cms_depth)
-        topk = SpaceSaving(capacity=topk_capacity)
+        cms = CountMinSketch(width=TX_SKETCH_CMS_WIDTH,
+                             depth=TX_SKETCH_CMS_DEPTH)
+        topk = SpaceSaving(capacity=TX_SKETCH_TOPK_CAPACITY)
         if len(partial):
             counts = partial["count"].to_numpy()
             cms.update_hashed(hash_strings(partial["itemset"]), counts)
@@ -258,8 +246,6 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
                      metric: str = "cscore", max_rounds: int = 20,
                      coverage_target: float = 0.95, min_support: int = 2,
                      max_k: int = 2, beta: float = 1.0,
-                     bloom_bits: int = 1 << 24,
-                     merge_buckets: int = 32,
                      mode: str = "exact") -> pd.DataFrame:
     """Distributed greedy cover over a (conv_id, items) transactions
     Dataset (SURVEY.md §7.4 "greedy set-cover is inherently sequential").
@@ -283,7 +269,7 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
     tx = transactions_ds.materialize()
     if n_transactions is None:
         n_transactions = tx.count()
-    covered = BloomFilter(num_bits=bloom_bits)
+    covered = BloomFilter(num_bits=GREEDY_BLOOM_BITS)
     have_covered = False
     selected: list[dict] = []
 
@@ -309,7 +295,7 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
                 batch_format="pandas")
             supports = sum_by_key_bucketed(
                 partials, "itemset", "count", "support",
-                num_buckets=merge_buckets).to_pandas()
+                num_buckets=GREEDY_MERGE_BUCKETS).to_pandas()
             supports["k"] = (supports["itemset"].str.count("\\" + ITEM_SEP)
                              + 1).astype("int32")
         rules = rules_from_supports(supports[supports["support"] >= min_support],

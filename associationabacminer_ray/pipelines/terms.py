@@ -14,8 +14,8 @@ Rationale (gate convention): ``ln`` is not guaranteed bit-identical
 between numpy and DuckDB's libm, so a folded float score could flip
 ranks by one ulp on a future corpus; the lexicographic integer rule
 induces the same "frequent here, rare there" ordering for fixed tf and
-is exactly reproducible on both sides. A float ``tfidf()`` helper is
-exported for library users; the gate query emits integers only.
+is exactly reproducible on both sides; the gate query emits integers
+only.
 
 Layout (two bucketed shuffles, no driver materialization):
 
@@ -73,12 +73,6 @@ def doc_term_freqs(ds: rd.Dataset) -> rd.Dataset:
         return out
 
     return ds.map_batches(tf_batch, batch_format="pyarrow")
-
-
-def tfidf(tf: np.ndarray, df: np.ndarray, n_docs: int) -> np.ndarray:
-    """Float tf·ln(N/df) for library users (NOT used in the gate query —
-    see module docstring for why the gate ranks on integers)."""
-    return tf.astype(np.float64) * np.log(float(n_docs) / df)
 
 
 def top_terms_per_doc(sf_dir: str, k: int = TOP_K_TERMS,

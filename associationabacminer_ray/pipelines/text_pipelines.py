@@ -279,18 +279,6 @@ def minhash_near_dups(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-def ngram_near_dups(sf_dir: str, threshold: float = 0.4, n: int = 2) -> pd.DataFrame:
-    """Word n-gram Jaccard near-dups: LSH candidate pairs verified with
-    the word-bigram set metric (a second, stricter verifier over the
-    same candidate generation as minhash_near_dups) — distributed."""
-    cand = minhash_candidate_pairs(sf_dir, as_dataset=True)
-    ver = verify_pairs_distributed(
-        _docs(sf_dir, ["doc_id", "text"]), cand,
-        lambda a, b: word_ngram_jaccard(a, b, n=n), "ngram_jaccard").to_pandas()
-    out = ver[ver["ngram_jaccard"] >= threshold]
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
 # Plant eligibility: doc_id % PLANT_TEXT_EVERY == 0 AND the doc has at
 # least PLANT_MIN_SHINGLES distinct char-5 shingles AND ≥2 whitespace
 # tokens. The appended unique suffix " plantdup<id>" (≤14 chars) adds
@@ -395,7 +383,8 @@ def q_ngram_dups(sf_dir: str, threshold: float = 0.4, n: int = 2) -> pd.DataFram
     candidates as q_minhash_dups: appending one unique token keeps every
     original bigram and adds exactly one, so each eligible plant passes
     any threshold < m/(m+1) and the recovered list equals the same SQL
-    closed form. ``ngram_near_dups`` keeps the natural-pair behavior."""
+    closed form. Natural (unplanted) pairs are ``minhash_near_dups``'s
+    job."""
     corpus = _planted_text_corpus(sf_dir)
     cand = minhash_candidate_pairs_ds(corpus, as_dataset=True)
     ver = verify_pairs_distributed(

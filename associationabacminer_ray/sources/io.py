@@ -1,108 +1,25 @@
-"""Sources & sinks: pruned reads, partitioned resumable writes, flatten.
+"""Sinks and flatteners.
 
-- ``read_table``: column-pruned + predicate-pushdown parquet read (S1).
-- ``write_partitioned``: the resumable sink (S2/S5): one directory per
-  partition, atomic (tmp dir + rename), with a manifest of completed
-  partitions so a rerun skips finished work — "never one giant file".
+- ``write_small_result``: atomic single-file sink for small results
+  (policies, scores — the Mongo upsert analog, S5).
 - ``flatten_struct_columns`` (M1, ``event_flattner.py:20-82``): nested
   struct columns → flat ``parent_child`` columns (lists dropped, like
   the reference).
 - ``pivot_list_of_struct`` (M4, ``ResourceFlattner.py:10-30``): a
   ``list<struct{key,value}>`` column pivoted into fixed
   ``prefix_<key>`` columns with a default fill.
+
+Parquet reads go straight through ``ray.data.read_parquet``; the CLI's
+partitioned write is Ray's ``write_parquet(partition_cols=…)``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-
-def read_table(path: str, columns: list[str] | None = None, filter_expr=None):
-    import ray.data as rd
-
-    return rd.read_parquet(path, columns=columns, filter=filter_expr)
-
-
-def read_transcripts(paths, fmt: str = "parquet",
-                     columns: list[str] | None = None):
-    """Format-agnostic transcripts source: parquet (preferred — pruned,
-    predicate-pushdown), jsonl, or csv. Non-parquet formats re-coerce
-    dtypes to the canonical schema (ts parsed, turn_idx int32) since
-    text formats carry no types."""
-    import ray.data as rd
-
-    if fmt == "parquet":
-        return rd.read_parquet(paths, columns=columns)
-    if fmt == "jsonl":
-        ds = rd.read_json(paths)
-    elif fmt == "csv":
-        ds = rd.read_csv(paths)
-    else:
-        raise ValueError(f"unknown transcripts format {fmt!r}")
-
-    def coerce(b: pd.DataFrame) -> pd.DataFrame:
-        out = b.copy()
-        out["ts"] = pd.to_datetime(out["ts"])
-        out["turn_idx"] = out["turn_idx"].astype("int32")
-        for c in ("conv_id", "role", "text", "tool"):
-            out[c] = out[c].astype(object).where(out[c].notna(), None)
-        return out[["conv_id", "turn_idx", "role", "text", "tool", "ts"]]
-
-    ds = ds.map_batches(coerce, batch_format="pandas")
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
-
-
-def write_partitioned(ds, out_dir: str, partition_col: str,
-                      existing_ok: bool = True) -> list[str]:
-    """Write one sub-directory per value of ``partition_col`` with a
-    manifest; partitions already in the manifest are skipped (resume).
-
-    Single data pass: already-done values are filtered out in one
-    ``map_batches``, then one ``groupby(partition_col)`` shuffle routes
-    each partition to a task that writes its directory atomically
-    (tmp + rename inside the task). On a multi-node cluster ``out_dir``
-    must be shared storage (the usual sink contract)."""
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "_manifest.json")
-    done: set[str] = set()
-    if existing_ok and os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            done = set(json.load(f))
-    if done:
-        ds = ds.map_batches(
-            lambda b: b[~b[partition_col].astype(str).isin(done)],
-            batch_format="pandas")
-
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        import uuid
-
-        value = str(g[partition_col].iloc[0])
-        part_dir = os.path.join(out_dir, f"{partition_col}={value}")
-        tmp_dir = part_dir + f".tmp-{uuid.uuid4().hex[:8]}"
-        os.makedirs(tmp_dir, exist_ok=True)
-        g.to_parquet(os.path.join(tmp_dir, "part-0.parquet"), index=False)
-        if os.path.exists(part_dir):
-            import shutil
-
-            shutil.rmtree(part_dir)
-        os.replace(tmp_dir, part_dir)
-        return pd.DataFrame({partition_col: [value]})
-
-    res = (ds.groupby(partition_col)
-           .map_groups(write_group, batch_format="pandas").to_pandas())
-    written_vals = (sorted(res[partition_col].astype(str))
-                    if len(res) and partition_col in res.columns else [])
-    done.update(written_vals)
-    with open(manifest_path, "w") as f:
-        json.dump(sorted(done), f)
-    return [os.path.join(out_dir, f"{partition_col}={v}") for v in written_vals]
 
 
 def write_small_result(df: pd.DataFrame, path: str) -> str:

@@ -2,17 +2,11 @@
 
 The reference rewrites events with consistent value → UUID / random-
 octet substitutions held in per-process dicts
-(``src/event_anonymizer.py:54-108``). Two modes here:
-
-- **Deterministic keyed hashing (stateless, default)**: value →
-  ``prefix-hex(hash(value ^ secret))``. Consistent across every task
-  with NO shared state or shuffle — the scalable choice; same plaintext
-  always maps to the same pseudonym (per secret).
-- **Stateful actor-pool mapping**: a callable class whose per-actor dict
-  assigns sequential pseudonyms — mirrors the reference's design and
-  demonstrates the actor-state pattern, but pseudonyms are only
-  consistent within one actor (documented limitation; the reference has
-  the same problem across processes — keyed hashing is the fix).
+(``src/event_anonymizer.py:54-108``), so its pseudonyms are only
+consistent within one process. Here the mapping is deterministic keyed
+hashing: value → ``prefix-hex(hash(value ^ secret))``. It is consistent
+across every task with NO shared state or shuffle; the same plaintext
+always maps to the same pseudonym (per secret).
 """
 
 from __future__ import annotations
@@ -41,24 +35,3 @@ class KeyedHashAnonymizer:
                 [f"{self.prefix}-{v:016x}" for v in h], dtype=object)
         return out
 
-
-class SequentialAnonymizer:
-    """Actor-pool stage with per-actor substitution dicts (the reference's
-    shape). Consistent only within one actor — kept for parity; prefer
-    KeyedHashAnonymizer."""
-
-    def __init__(self, columns: list[str], prefix: str = "u"):
-        self.columns = list(columns)
-        self.prefix = prefix
-        self.maps: dict[str, dict] = {c: {} for c in self.columns}
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        for col in self.columns:
-            m = self.maps[col]
-            def sub(v, m=m):
-                if v not in m:
-                    m[v] = f"{self.prefix}{len(m):06d}"
-                return m[v]
-            out[col] = out[col].fillna("").map(sub)
-        return out

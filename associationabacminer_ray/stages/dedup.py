@@ -250,7 +250,7 @@ def _winnow_select(folded: np.ndarray, w: int) -> np.ndarray:
 
 
 class RollingWindowHashes:
-    """map_batches stage for CONTAINMENT / copied-passage detection (the
+    r"""map_batches stage for CONTAINMENT / copied-passage detection (the
     repeated-substring dedup modern training pipelines run alongside
     whole-doc near-dup): each doc emits one 64-bit hash per W-token
     window at the given stride — (doc_id, win_hash, n_windows) rows.

@@ -11,8 +11,7 @@ interlacing, local color tables; first frame) and PCM WAV audio
 feature extraction (channel statistics + downsampled grid for images;
 RMS/ZCR/FFT band energies for audio). What's left out is genuinely out
 of numpy+stdlib reach at reasonable scope (progressive JPEG, MP3,
-H.264) and raises ``NotImplementedError`` — the honest boundary —
-``DecodeStub``/``FeatureExtractStub`` remain for shape-only tests.
+H.264) and raises ``NotImplementedError`` — the honest boundary.
 
 Schema convention for a multimodal table:
 
@@ -33,7 +32,6 @@ import wave
 import numpy as np
 import pandas as pd
 
-from ..functions.hashing import hash_strings
 
 # ------------------------------------------------------------- codecs
 _COMPRESSED_MAGICS = {
@@ -487,83 +485,3 @@ def make_real_multimodal_table(n: int = 32, modality: str = "image",
         rows.append((f"item-{i:05d}", modality, payload, json.dumps(meta)))
     return pd.DataFrame(rows, columns=["item_id", "modality", "payload", "meta"])
 
-
-class DecodeStub:
-    """Actor-pool decode stage. With ``fake=False`` raises
-    NotImplementedError('image/audio decode libraries not available in
-    this environment') — the clearly-marked stub. With ``fake=True``
-    produces a deterministic pseudo-decode (shape from meta, content
-    from the payload hash) so the pipeline shape is testable."""
-
-    def __init__(self, fake: bool = False, modality: str = "image"):
-        self.fake = fake
-        self.modality = modality
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if not self.fake:
-            raise NotImplementedError(
-                "image/audio decode libraries are not available in this "
-                "environment; run with fake=True for the deterministic stub")
-        out = batch.copy()
-        metas = [json.loads(m) if m else {} for m in batch["meta"]]
-        shapes = []
-        checksums = []
-        for payload, meta in zip(batch["payload"], metas):
-            b = bytes(payload or b"")
-            h = int(hash_strings(np.array([b.hex()], dtype=object))[0])
-            if self.modality == "image":
-                shapes.append((int(meta.get("height", 8)), int(meta.get("width", 8)), 3))
-            else:
-                shapes.append((int(meta.get("n_samples", 64)),))
-            checksums.append(h)
-        out["decoded_shape"] = [json.dumps(s) for s in shapes]
-        out["decoded_checksum"] = np.array(checksums, dtype=np.uint64)
-        return out
-
-
-class FeatureExtractStub:
-    """Deterministic fake feature vectors (dim-d float32) derived from the
-    payload hash — stands in for a model forward pass; the actor-pool /
-    broadcast / batch-size plumbing is identical to the real thing."""
-
-    def __init__(self, dim: int = 16):
-        self.dim = dim
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        feats = []
-        for payload in batch["payload"]:
-            b = bytes(payload or b"")
-            h = hash_strings(np.array([b.hex()], dtype=object))[0]
-            rng = np.random.default_rng(int(h) % (2**63))
-            feats.append(rng.standard_normal(self.dim).astype(np.float32))
-        out["feature"] = feats
-        return out
-
-
-def frame_sample_plan(meta: pd.Series, every_n: int = 10) -> pd.Series:
-    """Video frame-sampling plan (indices) from JSON meta with n_frames —
-    pure planning; the decode of chosen frames is the stub above."""
-    def plan(m: str) -> list[int]:
-        n = int((json.loads(m) if m else {}).get("n_frames", 0))
-        return list(range(0, n, every_n))
-    return meta.map(plan)
-
-
-def make_fake_multimodal_table(n: int = 64, modality: str = "image",
-                               seed: int = 5) -> pd.DataFrame:
-    """Deterministic fixture table matching the schema convention."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        payload = rng.integers(0, 256, size=int(rng.integers(64, 256)),
-                               dtype=np.uint8).tobytes()
-        if modality == "image":
-            meta = {"width": int(rng.integers(4, 32)),
-                    "height": int(rng.integers(4, 32))}
-        elif modality == "audio":
-            meta = {"sample_rate": 16000, "n_samples": int(rng.integers(64, 512))}
-        else:
-            meta = {"n_frames": int(rng.integers(10, 100))}
-        rows.append((f"item-{i:05d}", modality, payload, json.dumps(meta)))
-    return pd.DataFrame(rows, columns=["item_id", "modality", "payload", "meta"])

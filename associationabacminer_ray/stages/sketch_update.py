@@ -35,6 +35,7 @@ from ..sketches import (
     TDigest,
 )
 from ..udaf import SketchMergeAgg
+from .transactionize import dictionary_codes
 
 _KINDS = {
     "cms": CountMinSketch,
@@ -142,27 +143,13 @@ class CategoricalItemSketchUpdater:
         self.names = names
         self._seq = 0
 
-    @staticmethod
-    def _codes(col) -> tuple[np.ndarray, np.ndarray]:
-        import pyarrow.compute as pc
-
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        if not pa.types.is_dictionary(arr.type):
-            arr = pc.dictionary_encode(arr)
-        vocab = arr.dictionary.to_numpy(zero_copy_only=False).astype(object)
-        indices = arr.indices
-        if indices.null_count:  # nulls live in the indices, not the vocab
-            indices = pc.fill_null(indices, len(vocab))
-            vocab = np.append(vocab, "NONE")
-        return indices.to_numpy(zero_copy_only=False).astype(np.int64), vocab
-
     def __call__(self, batch: pa.Table) -> pd.DataFrame:
         from ..sketches import CountMinSketch, HyperLogLog, SpaceSaving
 
         salt = self._seq % self.num_salts
         self._seq += 1
-        r_codes, r_vocab = self._codes(batch.column("role"))
-        t_codes, t_vocab = self._codes(batch.column("tool"))
+        r_codes, r_vocab = dictionary_codes(batch.column("role"))
+        t_codes, t_vocab = dictionary_codes(batch.column("tool"))
         # vocab-level normalization, matching make_items/read_shard_codes
         r_vocab = np.where(r_vocab == "", "NONE", r_vocab)
         t_vocab = np.where(t_vocab == "", "NONE", t_vocab)
@@ -178,7 +165,7 @@ class CategoricalItemSketchUpdater:
         topk = SpaceSaving(capacity=self.topk_capacity)
         topk.update(items.tolist(), item_counts)
         hll = HyperLogLog(p=self.hll_p)
-        _, conv_vocab = self._codes(batch.column("conv_id"))
+        _, conv_vocab = dictionary_codes(batch.column("conv_id"))
         hll.update_hashed(hash_any(conv_vocab))
         return pd.DataFrame(
             {

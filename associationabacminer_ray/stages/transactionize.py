@@ -192,6 +192,26 @@ def itemset_partials_from_codes(conv_codes: np.ndarray, item_codes: np.ndarray,
     return pd.DataFrame(out)
 
 
+def dictionary_codes(col) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary-encode an Arrow column (a parquet dictionary read is
+    used as is) and return ``(int64 codes, object vocab)``. Nulls live
+    in the INDICES, not the vocab — a raw ``to_numpy`` gives NaN →
+    ``astype(int64)`` garbage — so they are mapped to an appended
+    ``"NONE"`` vocab slot."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if not pa.types.is_dictionary(arr.type):
+        arr = pc.dictionary_encode(arr)
+    vocab = arr.dictionary.to_numpy(zero_copy_only=False).astype(object)
+    indices = arr.indices
+    if indices.null_count:
+        indices = pc.fill_null(indices, len(vocab))
+        vocab = np.append(vocab, "NONE")
+    return indices.to_numpy(zero_copy_only=False).astype(np.int64), vocab
+
+
 def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role",
                      tool_col: str = "tool", filters=None, ts_col: str | None = None):
     """Read one parquet shard dictionary-encoded and return
@@ -205,37 +225,16 @@ def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role
     no matching row gives empty codes. With ``ts_col`` the tuple gains a
     fifth array: that column's datetime64 values, one per turn, so the
     caller can split the turns by time without a second read."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     dict_cols = [conv_col, role_col, tool_col]
     t = pq.read_table(path, columns=dict_cols + ([ts_col] if ts_col else []),
                       read_dictionary=dict_cols, filters=filters)
-
-    def codes_and_vocab(col):
-        arr = t.column(col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        if not isinstance(arr, pa.DictionaryArray):
-            arr = arr.dictionary_encode()
-        vocab = arr.dictionary.to_numpy(zero_copy_only=False).astype(object)
-        # nulls live in the INDICES (not the vocab): a raw to_numpy gives
-        # NaN → astype(int64) garbage. Map nulls to an appended None slot
-        # so the vocab-level NONE normalization handles them.
-        import pyarrow.compute as pc_
-
-        indices = arr.indices
-        if indices.null_count:
-            indices = pc_.fill_null(indices, len(vocab))
-            vocab = np.append(vocab, None)
-        return indices.to_numpy(zero_copy_only=False).astype(np.int64), vocab
-
-    conv_codes, conv_vocab = codes_and_vocab(conv_col)
-    conv_vocab = np.where(pd.isna(conv_vocab), "NONE", conv_vocab)
-    r_codes, r_vocab = codes_and_vocab(role_col)
-    t_codes, t_vocab = codes_and_vocab(tool_col)
-    r_vocab = np.where(pd.isna(r_vocab) | (r_vocab == ""), "NONE", r_vocab)
-    t_vocab = np.where(pd.isna(t_vocab) | (t_vocab == ""), "NONE", t_vocab)
+    conv_codes, conv_vocab = dictionary_codes(t.column(conv_col))
+    r_codes, r_vocab = dictionary_codes(t.column(role_col))
+    t_codes, t_vocab = dictionary_codes(t.column(tool_col))
+    r_vocab = np.where(r_vocab == "", "NONE", r_vocab)
+    t_vocab = np.where(t_vocab == "", "NONE", t_vocab)
     T = len(t_vocab)
     grid_codes = r_codes.astype(np.int64) * T + t_codes
     # canonicalize through the item STRING (vocab-level): normalization can

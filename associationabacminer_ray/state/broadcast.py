@@ -1,39 +1,19 @@
-"""Broadcast helpers: ship a small side (dimension dict, rule list,
-Bloom filter, vocab) into tasks/actors via the object store ONCE.
+"""Broadcast helper: ship a small side (here a Bloom filter) into tasks
+via the object store ONCE.
 
 The reference reloads per-job Mongo docs in every worker process
 (``src/model/param_universe_dao.py:13-16``); the Ray idiom is
 ``ray.put`` on the driver + ``ray.get`` once per actor/task closure —
 never re-shipped per batch (SURVEY.md §2.3 T2/T3).
+``bloom_filter_stage`` turns such a Bloom-filter reference into a
+``map_batches`` predicate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import ray
-
-
-def broadcast(obj: Any) -> "ray.ObjectRef":
-    return ray.put(obj)
-
-
-class WithBroadcast:
-    """Base for actor-pool map_batches classes needing broadcast state:
-
-        class Scorer(WithBroadcast):
-            def setup(self, rules):      # called once per actor
-                self.rules = rules
-            def __call__(self, batch): ...
-
-        ds.map_batches(Scorer, fn_constructor_args=(ref,), concurrency=8)
-    """
-
-    def __init__(self, ref: "ray.ObjectRef", *args: Any):
-        self.setup(ray.get(ref), *args)
-
-    def setup(self, obj: Any, *args: Any) -> None:  # pragma: no cover
-        raise NotImplementedError
 
 
 def bloom_filter_stage(bloom_ref: "ray.ObjectRef", key_col: str,

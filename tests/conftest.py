@@ -14,6 +14,21 @@ except ImportError:  # pragma: no cover
     pass
 
 
+@pytest.fixture(scope="session", autouse=True)
+def fresh_window_stores():
+    """The windowed store queries keep their ``DailySketchStore``s under
+    /tmp/graft_windows, keyed by config hash only, so a store built by
+    older code would stand in for the current build. Drop the stores once
+    per session, before the first test; the ``convs_*`` corpora they are
+    built from stay."""
+    import glob
+    import shutil
+
+    for prefix in ("daily_", "evsweep_", "evdaily_"):
+        for d in glob.glob(f"/tmp/graft_windows/{prefix}*"):
+            shutil.rmtree(d)
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     """One Ray session for the whole pytest run (local, 4 CPUs)."""

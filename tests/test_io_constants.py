@@ -1,42 +1,23 @@
-"""Sinks (partitioned resumable write), flatten/pivot, constant-item
-folding, constraint summary."""
+"""Small-result sink, flatten/pivot, constant-item folding."""
 
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 from associationabacminer_ray.pipelines.rules import (
     extract_constant_items,
-    policy_constraint_summary,
     reinject_constant_items,
     rules_from_supports,
 )
 from associationabacminer_ray.sources.io import (
     flatten_struct_columns,
     pivot_list_of_struct,
-    write_partitioned,
     write_small_result,
 )
 
 
 class TestSinks:
-    def test_write_partitioned_resume_skips_done(self, ray_session, tmp_path):
-        import ray.data as rd
-
-        df = pd.DataFrame({"part": ["a", "a", "b", "c"], "v": [1, 2, 3, 4]})
-        out = str(tmp_path / "out")
-        written = write_partitioned(rd.from_pandas(df), out, "part")
-        assert len(written) == 3
-        assert os.path.exists(os.path.join(out, "part=a"))
-        # second run: everything already in the manifest → nothing written
-        written2 = write_partitioned(rd.from_pandas(df), out, "part")
-        assert written2 == []
-        back = pd.read_parquet(os.path.join(out, "part=b"))
-        assert back["v"].tolist() == [3]
-
     def test_write_small_result_atomic(self, tmp_path):
         p = str(tmp_path / "scores.parquet")
         write_small_result(pd.DataFrame({"x": [1]}), p)
@@ -92,50 +73,3 @@ class TestConstantItems:
     def test_no_constants_noop(self):
         pruned, constants = extract_constant_items(self.SUP, n_transactions=11)
         assert constants == [] and len(pruned) == len(self.SUP)
-
-
-def test_policy_constraint_summary():
-    rules = pd.DataFrame({
-        "antecedent": ["user=a", "user=a|tool=b"],
-        "consequent": ["tool=b", "tool=c"],
-    })
-    out = policy_constraint_summary(rules)
-    items = dict(out.loc[out["kind"] == "item", ["name", "n"]].itertuples(index=False))
-    fields = dict(out.loc[out["kind"] == "field", ["name", "n"]].itertuples(index=False))
-    assert items["user=a"] == 2 and items["tool=b"] == 2 and items["tool=c"] == 1
-    assert fields["user"] == 2 and fields["tool"] == 3
-
-
-class TestMultiFormatSource:
-    def test_jsonl_and_csv_roundtrip(self, ray_session, tmp_path):
-        import ray.data as rd
-
-        from associationabacminer_ray.pipelines.itemsets import (
-            exact_itemset_supports,
-        )
-        from associationabacminer_ray.sources.io import read_transcripts
-        from associationabacminer_ray.sources.transcripts import synth_transcripts
-
-        tbl = synth_transcripts(300, seed=33)
-        df = tbl.to_pandas()
-        (tmp_path / "j").mkdir(); (tmp_path / "c").mkdir()
-        jpath = str(tmp_path / "j" / "t.jsonl")
-        cpath = str(tmp_path / "c" / "t.csv")
-        df.assign(ts=df["ts"].astype(str)).to_json(jpath, orient="records",
-                                                   lines=True)
-        df.to_csv(cpath, index=False)
-
-        want = exact_itemset_supports(rd.from_arrow(tbl), max_k=1,
-                                      num_buckets=8).to_pandas()
-        want = want.sort_values("itemset").reset_index(drop=True)
-        for fmt, path in (("jsonl", jpath), ("csv", cpath)):
-            ds = read_transcripts(path, fmt=fmt)
-            got = exact_itemset_supports(ds, max_k=1, num_buckets=8).to_pandas()
-            got = got.sort_values("itemset").reset_index(drop=True)
-            pd.testing.assert_frame_equal(got, want, obj=fmt)
-
-    def test_unknown_format_raises(self):
-        from associationabacminer_ray.sources.io import read_transcripts
-
-        with pytest.raises(ValueError, match="unknown"):
-            read_transcripts("x", fmt="xml")

@@ -74,6 +74,30 @@ class TestMineWindow:
         )
         assert res["n_transactions"] == len(tx_df)
 
+    def test_greedy_mode_passes_beta(self, ray_session, corpus):
+        """greedy=True scores C-Score with the caller's beta: its rounds
+        equal greedy_cover_ray's at that beta on the same transactions,
+        and this beta picks another policy than beta=1."""
+        from associationabacminer_ray.functions.windows import read_window
+        from associationabacminer_ray.pipelines.itemsets import transactions
+        from associationabacminer_ray.pipelines.rules import greedy_cover_ray
+
+        cols = ["round", "antecedent", "consequent", "cscore", "support_ab",
+                "covered_this_round"]
+        beta = 0.1
+        got = mine_window(corpus, SPEC, greedy=True, max_rounds=3,
+                          min_support=2, beta=beta)["rules"]
+        ds = read_window(corpus, SPEC, "obs", columns=["conv_id", "role", "tool"])
+        tx = transactions(ds, num_buckets=64).materialize()
+        want = greedy_cover_ray(tx, metric="cscore", max_rounds=3,
+                                min_support=2, max_k=2, beta=beta)
+        at_one = greedy_cover_ray(tx, metric="cscore", max_rounds=3,
+                                  min_support=2, max_k=2)
+        assert not want[["antecedent", "consequent"]].equals(
+            at_one[["antecedent", "consequent"]])
+        pd.testing.assert_frame_equal(got[cols].reset_index(drop=True),
+                                      want[cols].reset_index(drop=True))
+
     def test_greedy_sketch_mode_routes_to_sketch_engine(self, ray_session, corpus):
         """mode='sketch' + greedy=True must run sketch greedy rounds, not
         silently degrade to the exact path (ADVICE r2); at this scale the

@@ -15,10 +15,7 @@ from associationabacminer_ray.pipelines.evaluate import (
     score_policy,
 )
 from associationabacminer_ray.sources.transcripts import synth_transcripts
-from associationabacminer_ray.stages.anonymize import (
-    KeyedHashAnonymizer,
-    SequentialAnonymizer,
-)
+from associationabacminer_ray.stages.anonymize import KeyedHashAnonymizer
 from associationabacminer_ray.stages.normalize import NormalizeTurns
 
 
@@ -156,10 +153,3 @@ class TestAnonymizer:
         assert a1["text"].equals(df["text"])  # untouched columns preserved
         b = KeyedHashAnonymizer(["conv_id"], secret=99)(df)
         assert b.loc[0, "conv_id"] != a1.loc[0, "conv_id"]
-
-    def test_sequential_assigns_within_actor(self):
-        an = SequentialAnonymizer(["conv_id"])
-        out1 = an(pd.DataFrame({"conv_id": ["x", "y"]}))
-        out2 = an(pd.DataFrame({"conv_id": ["y", "z"]}))
-        assert out1["conv_id"].tolist() == ["u000000", "u000001"]
-        assert out2["conv_id"].tolist() == ["u000001", "u000002"]

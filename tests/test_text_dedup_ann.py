@@ -12,12 +12,6 @@ from associationabacminer_ray.stages.dedup import (
     simhash_signatures,
     word_ngram_jaccard,
 )
-from associationabacminer_ray.stages.multimodal import (
-    DecodeStub,
-    FeatureExtractStub,
-    frame_sample_plan,
-    make_fake_multimodal_table,
-)
 from associationabacminer_ray.stages.text import Fingerprint, LangId, TokenStats
 
 SF = "/root/testdata/sf0.001"
@@ -477,31 +471,6 @@ class TestPipelines:
 
 
 class TestMultimodal:
-    def test_decode_stub_raises_without_fake(self):
-        with pytest.raises(NotImplementedError, match="not available"):
-            DecodeStub(fake=False)(make_fake_multimodal_table(4))
-
-    def test_fake_decode_and_features_deterministic(self, ray_session):
-        import ray.data as rd
-
-        tbl = make_fake_multimodal_table(32, modality="image")
-        ds = rd.from_pandas(tbl)
-        # fat binary rows → small batch_size, actor pool
-        out = ds.map_batches(DecodeStub, batch_format="pandas", batch_size=8,
-                             concurrency=2,
-                             fn_constructor_kwargs={"fake": True}).to_pandas()
-        assert len(out) == 32 and "decoded_checksum" in out
-        out2 = ds.map_batches(FeatureExtractStub, batch_format="pandas",
-                              batch_size=8, concurrency=2,
-                              fn_constructor_kwargs={"dim": 16}).to_pandas()
-        f0 = np.stack(out2.sort_values("item_id")["feature"].to_numpy())
-        out3 = ds.map_batches(FeatureExtractStub, batch_format="pandas",
-                              batch_size=8, concurrency=2,
-                              fn_constructor_kwargs={"dim": 16}).to_pandas()
-        f1 = np.stack(out3.sort_values("item_id")["feature"].to_numpy())
-        assert np.array_equal(f0, f1)  # deterministic fake model
-        assert f0.shape == (32, 16)
-
     def test_real_ppm_roundtrip_and_pipeline(self, ray_session):
         import ray.data as rd
 
@@ -596,16 +565,6 @@ class TestMultimodal:
                              (b"GIF89a xxxx", "GIF")):
             with pytest.raises(NotImplementedError, match=msg):
                 Decode()(pd.DataFrame({"payload": [payload]}))
-
-    def test_frame_sample_plan(self):
-        tbl = make_fake_multimodal_table(4, modality="video")
-        plans = frame_sample_plan(tbl["meta"], every_n=10)
-        import json
-
-        for meta, plan in zip(tbl["meta"], plans):
-            n = json.loads(meta)["n_frames"]
-            assert plan == list(range(0, n, 10))
-
 
 class TestBmpCodec:
     def test_bmp_round_trip_with_padding(self):
