@@ -1137,7 +1137,7 @@ def oracle_sql() -> dict[str, str]:
         # =2 on pairs, constant extraction (singles with support >= n_tx
         # among the min_support survivors leave mining and prune every
         # pair they touch below k=2), and rule expansion (each surviving
-        # pair yields exactly 2 rules at max_consequent=1)
+        # pair yields exactly 2 rules at MAX_CONSEQUENT = 1)
         "windowed_mining_events": """
             WITH wins(window_id, lo, hi) AS (VALUES
               ('obs-20240101-20240108', TIMESTAMP '2024-01-01', TIMESTAMP '2024-01-08'),

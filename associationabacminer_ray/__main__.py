@@ -82,6 +82,7 @@ def cmd_supports(args) -> None:
         itemset_supports_partitioned,
         sketched_itemset_supports,
         sketched_itemset_supports_checkpointed,
+        topk_supports,
     )
 
     if args.ckpt_dir and args.mode != "sketch":
@@ -100,13 +101,8 @@ def cmd_supports(args) -> None:
             res = sketched_itemset_supports(
                 rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
                 max_k=args.max_k)
-        import pandas as pd
-
-        from .stages.transactionize import ITEM_SEP
-
-        out = pd.DataFrame(
-            [(k, k.count(ITEM_SEP) + 1, c, e) for k, c, e in res["topk"].top()],
-            columns=["itemset", "k", "support_est", "err_bound"])
+        out = topk_supports(res["topk"]).rename(
+            columns={"support": "support_est", "err": "err_bound"})
         out = out[out["support_est"] >= args.min_support].reset_index(drop=True)
     else:
         out = exact_itemset_supports(

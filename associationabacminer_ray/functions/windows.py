@@ -52,29 +52,29 @@ def generate_windows(start: datetime, end: datetime, obs_days: int = 30,
     return out
 
 
-def ts_range(lo: datetime, hi: datetime, ts_col: str = "ts") -> pc.Expression:
+def ts_range(lo: datetime, hi: datetime) -> pc.Expression:
     """The parquet pushdown predicate ``lo <= ts < hi``."""
-    field = pc.field(ts_col)
+    field = pc.field("ts")
     return (field >= pa.scalar(np.datetime64(lo, "us"))) & (
         field < pa.scalar(np.datetime64(hi, "us")))
 
 
 def read_window(path: str, spec: WindowSpec, which: str = "obs",
-                columns: list[str] | None = None, ts_col: str = "ts"):
+                columns: list[str] | None = None):
     """One window's rows with parquet predicate pushdown on ts (the Mongo
     range-query analog, src/job/job_utls.py:5-14)."""
     import ray.data as rd
 
     if which == "obs":
-        expr = ts_range(spec.obs_start, spec.obs_end, ts_col)
+        expr = ts_range(spec.obs_start, spec.obs_end)
     elif which == "opr":
-        expr = ts_range(spec.opr_start, spec.opr_end, ts_col)
+        expr = ts_range(spec.opr_start, spec.opr_end)
     elif which == "obs_opr":
         # the scoring-universe read: UNION of the two ranges — a spec
         # with a gap between obs_end and opr_start must not leak gap
         # rows into the observed domains
-        expr = (ts_range(spec.obs_start, spec.obs_end, ts_col)
-                | ts_range(spec.opr_start, spec.opr_end, ts_col))
+        expr = (ts_range(spec.obs_start, spec.obs_end)
+                | ts_range(spec.opr_start, spec.opr_end))
     else:
         raise ValueError(f"unknown window part {which!r}")
     return rd.read_parquet(path, columns=columns, filter=expr)

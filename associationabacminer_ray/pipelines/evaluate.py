@@ -117,13 +117,15 @@ def _confusion_metrics(c_tp: int, c_fn: int, u_tp: int, u_fn: int,
     }
 
 
+# buckets of score_policy_ray's two u-pass shuffles
+SCORE_BUCKETS = 16
+
+
 def score_policy_ray(opr_transactions, rules: pd.DataFrame,
-                     universe_transactions=None,
-                     universe_total: int | None = None,
-                     num_buckets: int = 16) -> dict:
+                     universe_transactions=None) -> dict:
     """Distributed ``score_policy``: transaction/universe sides are Ray
     DATASETS that stream through partial-sum stages — nothing but
-    O(num_buckets) count rows ever reaches the driver (the fix for the
+    O(SCORE_BUCKETS) count rows ever reaches the driver (the fix for the
     job-loop's window ``to_pandas()``, VERDICT r3 #1; reference
     semantics src/eval/EnvPolicyEvaluator.py:202-252).
 
@@ -164,16 +166,15 @@ def score_policy_ray(opr_transactions, rules: pd.DataFrame,
         c_partial, batch_format="pandas"))
     u_n, u_tp = sums(bucketed_group_agg(
         opr_transactions.select_columns(["items"]), ["items"],
-        dedup_allow, num_buckets=num_buckets))
+        dedup_allow, num_buckets=SCORE_BUCKETS))
     c_fn, u_fn = n - c_tp, u_n - u_tp
     if universe_transactions is not None:
         univ_n, u_pos = sums(bucketed_group_agg(
             universe_transactions.select_columns(["items"]), ["items"],
-            dedup_allow, num_buckets=num_buckets))
-        default_total = univ_n
+            dedup_allow, num_buckets=SCORE_BUCKETS))
+        total = univ_n
     else:
-        u_pos, default_total = u_tp, u_n  # window-scale degeneracy
-    total = universe_total if universe_total is not None else default_total
+        u_pos, total = u_tp, u_n  # window-scale degeneracy
     return _confusion_metrics(c_tp, c_fn, u_tp, u_fn, u_pos, total,
                               n_rules=int(len(rules)))
 

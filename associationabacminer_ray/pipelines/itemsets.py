@@ -3,27 +3,26 @@
 The centerpiece transplant (SURVEY.md §7.0): the reference one-hot
 encodes normalized events and runs FP-growth
 (``src/EnvAbacRuleMiner.py:161-168``); here a conversation's distinct
-``role=tool`` turn-set is the transaction, and support counting is a
-Ray Data pipeline:
+``role=tool`` turn-set is the transaction. This module is the one place
+that turns itemset partials into supports: one partial builder per
+input layout, all counting with
+``stages.transactionize.itemset_partials_from_codes``, and one tail per
+mode (E = ``merge_exact_itemset_partials``, S =
+``merge_itemset_sketch_partials``):
 
-  read → map_batches(make_items + per-batch (conv,item) dedup + bucket)
-       → groupby(bucket).map_groups(factorize → shared counting kernel)
-       → groupby(itemset).sum                       [exact mode]
-       → or: per-bucket CMS/top-k/HLL partial blobs
-             → repartition(1) → one fold in (name, part) order   [sketch mode]
+  input layout             partial builder                exact  sketch
+  turns Dataset            _conv_bucket_partials          → E    → S
+  conv-partitioned shards  process_shard                  → E    → S
+  transactions Dataset     rules._batch_itemset_partials  → E    → S
 
-Conv-partitioned input skips the shuffle: ``itemset_supports_partitioned``
-reads each shard's dictionary codes and counts them with the same kernel
-(``stages.transactionize.itemset_partials_from_codes``), for any k —
-k = 3 included:
-
-  from_items(shard paths) → map_batches(read codes [OR of day ts ranges]
-       → split turns per day → kernel + sketch partial per day)
-       → repartition(1) → one fold per day in (name, part) order
-
-With ``days=`` one read of each shard serves every day. Exact mode is
-the small-scale oracle (and the correctness-gate path); sketch mode is
-the 100 TB path — its shuffle moves only fixed-size registers.
+``_conv_bucket_partials`` shuffles distinct (conv, item) pairs on their
+conversation's hash bucket; ``process_shard`` reads each shard's
+dictionary codes with no shuffle, once for all ``days=``; the greedy
+rounds count each batch of one-per-conversation transactions. E sums
+(itemset, count) rows over a bucketed exchange; S folds the sketch
+blobs in one block in (name, part) order. Exact mode is the
+small-scale oracle; sketch mode is the 100 TB path — its exchange
+moves only fixed-size registers.
 """
 
 from __future__ import annotations
@@ -88,25 +87,39 @@ def sum_by_key_bucketed(ds: Dataset, key_col: str, value_col: str,
     )
 
 
-def item_pairs(ds: Dataset, conv_col: str = "conv_id", role_col: str = "role",
-               tool_col: str = "tool", num_buckets: int = 64) -> Dataset:
+def item_pairs(ds: Dataset, conv_col: str = "conv_id",
+               num_buckets: int = 64) -> Dataset:
     """transcripts → distinct (conv_id, item, bucket) pairs (pre-shuffle combiner)."""
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = make_items(batch, role_col, tool_col)
-        return distinct_pairs_with_bucket(batch, conv_col, "item", num_buckets)
+        return distinct_pairs_with_bucket(make_items(batch), conv_col, "item",
+                                          num_buckets)
 
-    cols = [conv_col, role_col, tool_col]
-    return ds.select_columns(cols).map_batches(fn, batch_format="pandas")
+    return ds.select_columns([conv_col, "role", "tool"]).map_batches(
+        fn, batch_format="pandas")
 
 
-def transactions(ds: Dataset, conv_col: str = "conv_id", num_buckets: int = 64) -> Dataset:
+def _conv_bucket_partials(ds: Dataset, body, conv_col: str = "conv_id",
+                          num_buckets: int = 64) -> Dataset:
+    """THE partial builder of an un-partitioned turns Dataset: distinct
+    ``(conv, item)`` pairs shuffled on their conversation's hash bucket,
+    then ``body(group)`` once per bucket — every conversation's items
+    meet in one group."""
+    # Ray's sort-based exchange cost scales with INPUT BLOCK COUNT, not
+    # bytes (PERF #26/#29): the exploded pair rows inherit the read's
+    # block count with collapsed block sizes. Coalescing them measured
+    # 15.3 s → 8.9 s for the pair groupby on the 20 M-turn bench corpus
+    # at 32 CPUs — results unchanged (group membership is
+    # layout-independent).
+    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
+    return (pairs.repartition(max(32, num_buckets)).groupby("bucket")
+            .map_groups(body, batch_format="pandas"))
+
+
+def transactions(ds: Dataset, num_buckets: int = 64) -> Dataset:
     """One row per conversation: (conv_id, items) with items = sorted
     distinct role=tool strings joined by ',' (FIXTURES.md §F2)."""
-    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
-    return pairs.groupby("bucket").map_groups(
-        lambda g: transactions_in_bucket(g, conv_col, "item"),
-        batch_format="pandas",
-    )
+    return _conv_bucket_partials(ds, transactions_in_bucket,
+                                 num_buckets=num_buckets)
 
 
 def distinct_count_exact(hash_ds: Dataset, num_buckets: int = 64,
@@ -184,11 +197,6 @@ def exact_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 
         n_tx = distinct_conv_count(ds, conv_col=conv_col,
                                    num_buckets=num_buckets)
         min_support = max(min_support, int(np.ceil(min_support_frac * n_tx)))
-    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
-    # the exploded pair rows inherit the read's block count with
-    # collapsed sizes; Ray's sort exchange scales with block count
-    # (PERF #26/#29) — coalesce before the bucket groupby
-    pairs = pairs.repartition(max(32, num_buckets))
 
     def bucket_partials(group: pd.DataFrame) -> pd.DataFrame:
         partial = itemset_partials_in_bucket(
@@ -203,29 +211,54 @@ def exact_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 
                              "count": np.int64(group[conv_col].nunique(dropna=False))})
         return pd.concat([partial, n_tx], ignore_index=True)
 
-    partials = pairs.groupby("bucket").map_groups(bucket_partials,
-                                                  batch_format="pandas")
-    agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
-                              num_buckets=max(8, num_buckets // 2))
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty or "support" not in batch.columns:
-            return _EMPTY_SUPPORTS.copy()
-        sentinel = batch["itemset"] == TX_COUNT_KEY
-        batch = batch[(batch["support"] >= min_support) | sentinel]
-        out = batch.copy()
-        out["k"] = (out["itemset"].str.count("\\" + ITEM_SEP) + 1).astype(np.int32)
-        out.loc[out["itemset"] == TX_COUNT_KEY, "k"] = 0
-        out["support"] = out["support"].astype(np.int64)
-        return out[["itemset", "k", "support"]]
-
-    out = agg.map_batches(finish, batch_format="pandas")
+    out = merge_exact_itemset_partials(
+        _conv_bucket_partials(ds, bucket_partials, conv_col, num_buckets),
+        max(8, num_buckets // 2), min_support)
     # reference gate is `itemset_limit > 0` (src/EnvAbacRuleMiner.py:234-247):
     # 0/None both mean "no cap"
     if itemset_limit is not None and itemset_limit > 0:
         out = out.sort(["support", "itemset"],
                        descending=[True, False]).limit(itemset_limit)
     return out
+
+
+def merge_exact_itemset_partials(partials: Dataset, num_buckets: int,
+                                 min_support: int = 1,
+                                 with_turn_counts: bool = False) -> Dataset:
+    """THE exact tail: ``(itemset, count[, turn_count])`` partial rows →
+    ``(itemset, k, support[, turn_support])``. Rows are summed per
+    itemset over ``sum_by_key_bucketed`` with ``num_buckets`` buckets,
+    ``k`` is read off the itemset name, and itemsets under
+    ``min_support`` are dropped. The ``TX_COUNT_KEY`` sentinel row is
+    exempt and comes back with k=0."""
+    agg = sum_by_key_bucketed(
+        partials, "itemset", "count", "support", num_buckets=num_buckets,
+        extra_value_cols=["turn_count"] if with_turn_counts else None)
+    keep = ["itemset", "k", "support"] + (
+        ["turn_support"] if with_turn_counts else [])
+
+    def finish(batch: pd.DataFrame) -> pd.DataFrame:
+        if batch.empty or "support" not in batch.columns:
+            return _EMPTY_SUPPORTS.assign(
+                turn_support=pd.Series(dtype=np.int64))[keep]
+        sentinel = batch["itemset"] == TX_COUNT_KEY
+        out = batch[(batch["support"] >= min_support) | sentinel].rename(
+            columns={"turn_count": "turn_support"})
+        k = out["itemset"].str.count("\\" + ITEM_SEP) + 1
+        out["k"] = k.where(~sentinel, 0).astype(np.int32)
+        return out[keep]
+
+    return agg.map_batches(finish, batch_format="pandas")
+
+
+def topk_supports(topk: SpaceSaving, n: int | None = None) -> pd.DataFrame:
+    """A merged itemset top-k's head (all of it by default) as an
+    ``(itemset, k, support, err)`` frame, heaviest first: ``support`` is
+    Space-Saving's overestimate and ``err`` its bound, so
+    ``support - err <= true support <= support``."""
+    head = pd.DataFrame(topk.top(n), columns=["itemset", "support", "err"])
+    head.insert(1, "k", head["itemset"].str.count("\\" + ITEM_SEP) + 1)
+    return head.astype({"k": np.int32, "support": np.int64, "err": np.int64})
 
 
 def _itemset_hash_fn(itemset_hash: str):
@@ -244,6 +277,9 @@ def _itemset_hash_fn(itemset_hash: str):
 
 #: the sketch-mode partial and result names, in builder order
 SKETCH_NAMES = ("cms", "topk", "hll")
+#: the sketch-mode functions' default sizes, also the greedy rounds' sizes
+DEFAULT_SIZES = dict(cms_width=1 << 13, cms_depth=4, topk_capacity=4096,
+                     hll_p=14)
 
 
 def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
@@ -363,21 +399,13 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
             group[conv_col].nunique(), sizes, hash_itemsets=ihash)
         return out.assign(part=np.int64(group["bucket"].iloc[0]))
 
-    # Ray's sort-based exchange cost scales with INPUT BLOCK COUNT, not
-    # bytes (PERF #26): the exploded pair rows inherit the read's block
-    # count with collapsed block sizes. Coalescing them measured
-    # 15.3 s → 8.9 s for the pair groupby on the 20 M-turn bench corpus
-    # at 32 CPUs — results unchanged (group membership is
-    # layout-independent).
-    pairs = item_pairs(ds, conv_col=conv_col, num_buckets=num_buckets)
-    pairs = pairs.repartition(max(32, num_buckets))
-    partials = pairs.groupby("bucket").map_groups(bucket_sketch_partials,
-                                                  batch_format="pandas")
+    partials = _conv_bucket_partials(ds, bucket_sketch_partials, conv_col,
+                                     num_buckets)
     return merge_itemset_sketch_partials(partials, sizes)
 
 
-# buckets of the exact partitioned path's one exchange: the small merge
-# of per-shard (itemset, count) partials
+# buckets of the exact tail's exchange on the shard and greedy-round
+# paths: the small merge of per-shard or per-batch partials
 MERGE_BUCKETS = 32
 
 
@@ -452,11 +480,11 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
         frames = []
         for path, part in zip(batch["path"], batch["part"]):
             if days is None:
-                codes = read_shard_codes(path, conv_col=conv_col)
+                codes = read_shard_codes(path, conv_col)
                 groups = [(0, slice(None), "")]
             else:
-                codes = read_shard_codes(path, conv_col=conv_col,
-                                         filters=day_filter, ts_col="ts")
+                codes = read_shard_codes(path, conv_col, filters=day_filter,
+                                         ts_col="ts")
                 # the pushed-down filter left only turns of some day
                 row_day = np.searchsorted(day_starts.astype(codes[4].dtype),
                                           codes[4], side="right") - 1
@@ -486,56 +514,35 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
         return merge_itemset_sketch_partials(
             partials, sizes, None if days is None else len(days))
 
-    extra = ["turn_count"] if with_turn_counts else None
-    agg = sum_by_key_bucketed(partials, "itemset", "count", "support",
-                              num_buckets=MERGE_BUCKETS,
-                              extra_value_cols=extra)
-
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        if batch.empty or "support" not in batch.columns:
-            out = _EMPTY_SUPPORTS.copy()
-            if with_turn_counts:
-                out["turn_support"] = pd.Series(dtype=np.int64)
-            return out
-        batch = batch[batch["support"] >= min_support]
-        out = batch.copy()
-        out["k"] = (out["itemset"].str.count("\\" + ITEM_SEP) + 1).astype(np.int32)
-        keep = ["itemset", "k", "support"]
-        if with_turn_counts:
-            out["turn_support"] = out["turn_count"].astype(np.int64)
-            keep.append("turn_support")
-        return out[keep]
-
-    return agg.map_batches(finish, batch_format="pandas")
+    return merge_exact_itemset_partials(partials, MERGE_BUCKETS, min_support,
+                                        with_turn_counts)
 
 
-def sketched_itemset_supports_checkpointed(
-        input_files: list[str], ckpt_dir: str, conv_col: str = "conv_id",
-        max_k: int = 2, max_transaction_items: int | None = 64,
-        cms_width: int = 1 << 15, cms_depth: int = 4,
-        topk_capacity: int = 4096, hll_p: int = 14) -> dict:
+#: the resumable run's sketch sizes, part of its checkpoint config
+CHECKPOINT_SIZES = dict(cms_width=1 << 15, cms_depth=4, topk_capacity=4096,
+                        hll_p=14)
+
+
+def sketched_itemset_supports_checkpointed(input_files: list[str], ckpt_dir: str,
+                                           max_k: int = 2) -> dict:
     """Resumable sketch-mode supports: one checkpoint partition per input
     shard (FIXTURES §F5), each built by the shuffle-free
     ``itemset_supports_partitioned`` (so shards are conv-partitioned,
-    as that path requires). A killed run resumes by loading finished
-    shards' blobs and recomputing only the rest; merge associativity
-    makes resume == fresh bit-for-bit for CMS/HLL (property-tested).
-    ``n_transactions`` is exact: each partition stores its shard's count
-    as ``row_count``, and a resumed run reads it back."""
+    as that path requires) with ``CHECKPOINT_SIZES``. A killed run
+    resumes by loading finished shards' blobs and recomputing only the
+    rest; merge associativity makes resume == fresh bit-for-bit for
+    CMS/HLL (property-tested). ``n_transactions`` is exact: each
+    partition stores its shard's count as ``row_count``, and a resumed
+    run reads it back."""
     config = {
         "pipeline": "sketched_itemset_supports", "max_k": max_k,
-        "conv_col": conv_col, "max_tx": max_transaction_items,
-        "cms_width": cms_width, "cms_depth": cms_depth,
-        "topk_capacity": topk_capacity, "hll_p": hll_p,
+        "conv_col": "conv_id", "max_tx": 64, **CHECKPOINT_SIZES,
         "topk_version": SpaceSaving.VERSION,
     }
 
     def compute_partition(pid: int, path: str):
-        res = itemset_supports_partitioned(
-            [path], mode="sketch", conv_col=conv_col, max_k=max_k,
-            max_transaction_items=max_transaction_items, cms_width=cms_width,
-            cms_depth=cms_depth, topk_capacity=topk_capacity, hll_p=hll_p,
-        )
+        res = itemset_supports_partitioned([path], mode="sketch", max_k=max_k,
+                                           **CHECKPOINT_SIZES)
         return {k: res[k] for k in SKETCH_NAMES}, res["n_transactions"]
 
     merged = run_with_checkpoint(input_files, ckpt_dir, compute_partition, config)

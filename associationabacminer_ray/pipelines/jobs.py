@@ -26,7 +26,12 @@ from ..functions.windows import WindowSpec, generate_windows, read_window
 from ..state.checkpoint import config_hash
 from .evaluate import score_policy
 from .itemsets import exact_itemset_supports, transactions
-from .rules import reinject_constant_items, rules_from_supports, extract_constant_items
+from .rules import (
+    extract_constant_items,
+    rank_rules,
+    reinject_constant_items,
+    rules_from_supports,
+)
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,8 @@ def run_one_job(transcripts_path, job: Job, distributed: bool = True) -> dict:
 
     mw = mine_window(transcripts_path, job.window, mode="exact",
                      max_k=cfg.max_k, min_support=cfg.min_support,
-                     num_buckets=cfg.num_buckets, top_rules=cfg.top_rules,
-                     beta=cfg.beta)
+                     num_buckets=cfg.num_buckets, metric=cfg.metric,
+                     top_rules=cfg.top_rules, beta=cfg.beta)
     opr = read_window(transcripts_path, job.window, "opr",
                       columns=["conv_id", "role", "tool"])
     opr_tx = transactions(opr, num_buckets=cfg.num_buckets)
@@ -123,8 +128,9 @@ def _run_one_job_pandas(transcripts_path, job: Job) -> dict:
         obs, max_k=cfg.max_k, num_buckets=cfg.num_buckets,
         min_support=cfg.min_support).to_pandas()
     supports, constants = extract_constant_items(supports, len(obs_tx))
-    rules = rules_from_supports(supports, n_transactions=len(obs_tx),
-                                min_support=cfg.min_support, beta=cfg.beta)
+    rules = rank_rules(rules_from_supports(supports, n_transactions=len(obs_tx),
+                                           min_support=cfg.min_support,
+                                           beta=cfg.beta), cfg.metric)
     rules = reinject_constant_items(rules.head(cfg.top_rules), constants)
     opr = read_window(transcripts_path, job.window, "opr",
                       columns=["conv_id", "role", "tool"])

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import time
 
-import pandas as pd
-
 from ..functions.windows import WindowSpec, generate_windows, read_window
 from .itemsets import (
     exact_itemset_supports,
     sketched_itemset_supports,
+    split_tx_count,
+    topk_supports,
     transactions,
 )
 from .rules import (
     extract_constant_items,
     greedy_cover_ray,
+    rank_rules,
     reinject_constant_items,
     rules_from_supports,
 )
@@ -71,16 +72,9 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
     else:
         if mode == "sketch":
             sk = sketched_itemset_supports(ds, max_k=max_k, num_buckets=num_buckets)
-            from ..stages.transactionize import ITEM_SEP
-
-            supports = pd.DataFrame(
-                [(k, k.count(ITEM_SEP) + 1, c) for k, c, _ in sk["topk"].top()],
-                columns=["itemset", "k", "support"],
-            )
+            supports = topk_supports(sk["topk"])[["itemset", "k", "support"]]
             n_tx = sk["n_transactions"]
         else:
-            from .itemsets import split_tx_count
-
             supports, n_tx = split_tx_count(exact_itemset_supports(
                 ds, max_k=max_k, num_buckets=num_buckets,
                 min_support=min_support, include_tx_count=True).to_pandas())
@@ -93,8 +87,9 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
             constants = []
         else:
             supports, constants = extract_constant_items(supports, n_tx)
-        rules = rules_from_supports(supports, n_transactions=n_tx,
-                                    min_support=min_support, beta=beta)
+        rules = rank_rules(rules_from_supports(supports, n_transactions=n_tx,
+                                               min_support=min_support, beta=beta),
+                           metric)
         if top_rules is not None:
             # policy-size cap BEFORE constant reinjection (the job-loop
             # semantics, src/job/job_executor.py:120-130 analog): the

@@ -29,14 +29,10 @@ from ..functions.scoring import MINIMIZED_METRICS, score_columns
 from ..sketches import BloomFilter
 from ..stages.transactionize import ITEM_SEP
 
-# greedy_cover_ray: covered-conversation Bloom size, and the bucket
-# count of its exact per-round support merge
+# greedy_cover_ray: covered-conversation Bloom size
 GREEDY_BLOOM_BITS = 1 << 24
-GREEDY_MERGE_BUCKETS = 32
-# _tx_sketch_supports: per-round CMS and top-k sizes
-TX_SKETCH_CMS_WIDTH = 1 << 13
-TX_SKETCH_CMS_DEPTH = 4
-TX_SKETCH_TOPK_CAPACITY = 4096
+# rules_from_supports: most items a rule's consequent holds
+MAX_CONSEQUENT = 1
 
 
 def extract_constant_items(supports: pd.DataFrame,
@@ -88,7 +84,6 @@ def reinject_constant_items(rules: pd.DataFrame, constants: list[str]) -> pd.Dat
 
 def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
                         min_support: int = 1, beta: float = 1.0,
-                        max_consequent: int | None = 1,
                         coverage_denominator: str = "transactions",
                         total_turns: int | None = None) -> pd.DataFrame:
     """Expand a (itemset, k, support) table into scored rules.
@@ -115,7 +110,7 @@ def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
         items = itemset.split(ITEM_SEP)
         n = len(items)
         for r in range(1, n):
-            if max_consequent is not None and n - r > max_consequent:
+            if n - r > MAX_CONSEQUENT:
                 continue
             for ante in itertools.combinations(items, r):
                 cons = tuple(x for x in items if x not in ante)
@@ -146,18 +141,25 @@ def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
     return df
 
 
-def best_rule(rules: pd.DataFrame, metric: str = "cscore") -> pd.Series:
-    """Global argmax (min for l_dist), tie-break on fewer total constraints
-    then lexicographic — src/EnvAbacRuleMiner.py:107-122."""
+def rank_rules(rules: pd.DataFrame, metric: str = "cscore") -> pd.DataFrame:
+    """Rules best first by ``metric`` (ascending for
+    ``MINIMIZED_METRICS``), tie-break on fewer total constraints then
+    lexicographic — src/EnvAbacRuleMiner.py:107-122."""
     if not len(rules):
-        raise ValueError("no candidate rules")
-    asc = metric in MINIMIZED_METRICS
+        return rules
     n_items = rules["n_antecedent"] + rules["n_consequent"]
     order = rules.assign(_n=n_items).sort_values(
         [metric, "_n", "antecedent", "consequent"],
-        ascending=[asc, True, True, True], kind="mergesort",
-    )
-    return order.iloc[0].drop(labels=["_n"])
+        ascending=[metric in MINIMIZED_METRICS, True, True, True],
+        kind="mergesort")
+    return order.drop(columns=["_n"]).reset_index(drop=True)
+
+
+def best_rule(rules: pd.DataFrame, metric: str = "cscore") -> pd.Series:
+    """The first of ``rank_rules`` — the greedy round's global argmax."""
+    if not len(rules):
+        raise ValueError("no candidate rules")
+    return rank_rules(rules, metric).iloc[0]
 
 
 # shared with the policy evaluator — one implementation (evaluate.py)
@@ -180,43 +182,33 @@ def _batch_itemset_partials(items: pd.Series, max_k: int) -> pd.DataFrame:
 def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     """Sketch-mode per-round support counting over a (conv_id, items)
     transactions Dataset: each BATCH (rows are one-per-conversation, so
-    batches never double-count) expands itemsets into a CMS + top-k
-    partial; the only exchange is fixed-size blobs through
-    ``SketchMergeAgg``. Returns the heavy-hitter candidates as a
-    (itemset, k, support) frame, CMS-backfilling any 1-itemset subset
-    the top-k head is missing so rule scoring has its antecedent
-    supports. Counts are overestimates (monotone-safe for min_support
-    pruning and for the greedy's shrinking cover)."""
-
+    batches never double-count) becomes one ``itemset_sketch_partial``,
+    with ``part`` the batch's smallest conversation hash, so the fold
+    order follows the rows rather than block arrival; the only exchange
+    is fixed-size blobs. Returns the top-k head as an
+    (itemset, k, support) frame, CMS-backfilling any proper subset the
+    head is missing so rule scoring has its antecedent supports. Counts
+    are overestimates (monotone-safe for min_support pruning and for
+    the greedy's shrinking cover)."""
     from ..functions.hashing import hash_string_scalar
-    from ..sketches import CountMinSketch, Sketch, SpaceSaving
-    from ..udaf import SketchMergeAgg
+    from .itemsets import (
+        DEFAULT_SIZES,
+        itemset_sketch_partial,
+        merge_itemset_sketch_partials,
+        topk_supports,
+    )
 
-    def partials(batch: pd.DataFrame) -> pd.DataFrame:
-        partial = _batch_itemset_partials(batch["items"], max_k)
-        cms = CountMinSketch(width=TX_SKETCH_CMS_WIDTH,
-                             depth=TX_SKETCH_CMS_DEPTH)
-        topk = SpaceSaving(capacity=TX_SKETCH_TOPK_CAPACITY)
-        if len(partial):
-            counts = partial["count"].to_numpy()
-            cms.update_hashed(hash_strings(partial["itemset"]), counts)
-            topk.update(partial["itemset"].tolist(), counts)
-        return pd.DataFrame({"name": ["cms", "topk"],
-                             "blob": [cms.to_bytes(), topk.to_bytes()]})
+    def batch_partial(batch: pd.DataFrame) -> pd.DataFrame:
+        conv_hashes = hash_strings(batch["conv_id"])
+        out = itemset_sketch_partial(_batch_itemset_partials(batch["items"], max_k),
+                                     conv_hashes, len(batch), DEFAULT_SIZES)
+        # batches hold disjoint conversations: their smallest hashes
+        # order the fold by the rows, not by block arrival
+        return out.assign(part=conv_hashes.min().astype(np.int64))
 
-    merged = (tx_ds.map_batches(partials, batch_format="pandas")
-              .groupby("name")
-              .aggregate(SketchMergeAgg("blob", alias="blob")))
-    sk: dict = {}
-    for row in merged.take_all():
-        sk[row["name"]] = Sketch.from_bytes(bytes(row["blob"]))
-    if "topk" not in sk:
-        return pd.DataFrame({"itemset": pd.Series(dtype=object),
-                             "k": pd.Series(dtype="int32"),
-                             "support": pd.Series(dtype="int64")})
-    rows = [(key, count) for key, count, _ in sk["topk"].top()]
-    df = pd.DataFrame(rows, columns=["itemset", "support"])
-    df["k"] = (df["itemset"].str.count("\\" + ITEM_SEP) + 1).astype("int32")
+    sk = merge_itemset_sketch_partials(
+        tx_ds.map_batches(batch_partial, batch_format="pandas"), DEFAULT_SIZES)
+    df = topk_supports(sk["topk"])[["itemset", "k", "support"]]
     # CMS-backfill EVERY proper subset the top-k head is missing (not
     # just singles): rules_from_supports drops a rule whose antecedent
     # or consequent support is absent, which for max_k ≥ 3 would
@@ -231,15 +223,12 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
                 if key not in have:
                     have.add(key)
                     backfill.append(
-                        (key, sk["cms"].estimate_one(hash_string_scalar(key)),
-                         len(combo)))
+                        (key, len(combo),
+                         sk["cms"].estimate_one(hash_string_scalar(key))))
     if backfill:
-        df = pd.concat([df, pd.DataFrame(backfill,
-                                         columns=["itemset", "support", "k"])],
+        df = pd.concat([df, pd.DataFrame(backfill, columns=df.columns)],
                        ignore_index=True)
-    df["support"] = df["support"].astype(np.int64)
-    df["k"] = df["k"].astype("int32")
-    return df[["itemset", "k", "support"]]
+    return df.astype({"k": "int32", "support": np.int64})
 
 
 def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
@@ -264,7 +253,7 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
 
 
     from ..state.broadcast import bloom_filter_stage
-    from .itemsets import sum_by_key_bucketed
+    from .itemsets import MERGE_BUCKETS, merge_exact_itemset_partials
 
     tx = transactions_ds.materialize()
     if n_transactions is None:
@@ -286,20 +275,17 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
         if uncovered == 0 or 1 - uncovered / n_transactions >= coverage_target:
             break
         if mode == "sketch":
-            # 100 TB per-round path: fixed-size CMS/top-k blobs are the
-            # only exchange — no (itemset, count) row shuffle at all
+            # 100 TB per-round path: fixed-size CMS/top-k/HLL blobs are
+            # the only exchange — no (itemset, count) row shuffle at all
             supports = _tx_sketch_supports(cur, max_k=max_k)
+            supports = supports[supports["support"] >= min_support]
         else:
             partials = cur.map_batches(
                 lambda b: _batch_itemset_partials(b["items"], max_k),
                 batch_format="pandas")
-            supports = sum_by_key_bucketed(
-                partials, "itemset", "count", "support",
-                num_buckets=GREEDY_MERGE_BUCKETS).to_pandas()
-            supports["k"] = (supports["itemset"].str.count("\\" + ITEM_SEP)
-                             + 1).astype("int32")
-        rules = rules_from_supports(supports[supports["support"] >= min_support],
-                                    uncovered, min_support, beta)
+            supports = merge_exact_itemset_partials(
+                partials, MERGE_BUCKETS, min_support).to_pandas()
+        rules = rules_from_supports(supports, uncovered, min_support, beta)
         if not len(rules):
             break
         top = best_rule(rules, metric)

@@ -17,7 +17,11 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions.hashing import hash_any
-from ..pipelines.itemsets import sketched_itemset_supports, transactions
+from ..pipelines.itemsets import (
+    sketched_itemset_supports,
+    topk_supports,
+    transactions,
+)
 from ..pipelines.rules import greedy_cover_ray
 from ..sketches import CountMinSketch, CountSketch, ThetaKMV
 from ..sources.transcripts import transcripts_from_events
@@ -38,8 +42,8 @@ def q_sketch_topk_itemsets(sf_dir: str, k: int = 50) -> pd.DataFrame:
     """Heavy-hitter itemsets with CMS-refined estimates (A1/A6 sketch mode)."""
     ds = transcripts_from_events(f"{sf_dir}/events.parquet")
     res = sketched_itemset_supports(ds, max_k=2, num_buckets=16)
-    rows = [(key, count, err) for key, count, err in res["topk"].top(k)]
-    out = pd.DataFrame(rows, columns=["itemset", "est_support", "err_bound"])
+    out = topk_supports(res["topk"], k).rename(
+        columns={"support": "est_support", "err": "err_bound"}).drop(columns="k")
     out["n_transactions"] = np.int64(res["n_transactions"])
     out["hll_distinct_convs"] = np.int64(round(res["hll"].estimate()))
     return out

@@ -212,8 +212,8 @@ def dictionary_codes(col) -> tuple[np.ndarray, np.ndarray]:
     return indices.to_numpy(zero_copy_only=False).astype(np.int64), vocab
 
 
-def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role",
-                     tool_col: str = "tool", filters=None, ts_col: str | None = None):
+def read_shard_codes(path: str, conv_col: str = "conv_id", filters=None,
+                     ts_col: str | None = None):
     """Read one parquet shard dictionary-encoded and return
     (conv_codes, item_codes, item_vocab, conv_vocab) with normalization
     (''/null → NONE) applied at VOCAB level — O(vocab), not O(rows).
@@ -227,12 +227,12 @@ def read_shard_codes(path: str, conv_col: str = "conv_id", role_col: str = "role
     caller can split the turns by time without a second read."""
     import pyarrow.parquet as pq
 
-    dict_cols = [conv_col, role_col, tool_col]
+    dict_cols = [conv_col, "role", "tool"]
     t = pq.read_table(path, columns=dict_cols + ([ts_col] if ts_col else []),
                       read_dictionary=dict_cols, filters=filters)
     conv_codes, conv_vocab = dictionary_codes(t.column(conv_col))
-    r_codes, r_vocab = dictionary_codes(t.column(role_col))
-    t_codes, t_vocab = dictionary_codes(t.column(tool_col))
+    r_codes, r_vocab = dictionary_codes(t.column("role"))
+    t_codes, t_vocab = dictionary_codes(t.column("tool"))
     r_vocab = np.where(r_vocab == "", "NONE", r_vocab)
     t_vocab = np.where(t_vocab == "", "NONE", t_vocab)
     T = len(t_vocab)

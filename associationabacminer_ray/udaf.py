@@ -295,12 +295,12 @@ class SketchMergeAgg(AggregateFnV2):
 
     This is the second phase of the two-phase pattern for partials whose
     count follows Ray's batching: stage 1 emits per-batch blobs
-    (``stages.sketch_update``, the greedy's ``rules._tx_sketch_supports``);
-    stage 2 is a tiny groupby-aggregate over those partials — the
-    all-to-all exchange only ever moves O(KB) registers, never rows. Its
-    merge order follows the block layout, so a trimmed top-k tail does
-    too. Itemset supports, with a bounded part count, instead fold in
-    one task in part order (``itemsets.merge_itemset_sketch_partials``).
+    (``stages.sketch_update``, its one user); stage 2 is a tiny
+    groupby-aggregate over those partials — the all-to-all exchange only
+    ever moves O(KB) registers, never rows. Its merge order follows the
+    block layout, so a trimmed top-k tail does too. Every itemset
+    supports path instead folds in one task in part order
+    (``itemsets.merge_itemset_sketch_partials``).
     """
 
     def __init__(self, on: str = "sketch", alias: str | None = None,

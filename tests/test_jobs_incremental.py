@@ -113,6 +113,32 @@ class TestJobs:
             want = run_one_job(corpus, job, distributed=False)
             assert got == want, f"job {job.job_id}: {got} != {want}"
 
+    def test_metric_ranks_the_policy(self, ray_session, corpus):
+        """MiningConfig.metric ranks the rules before the top_rules cap:
+        on this corpus lift keeps another policy than cscore, so the job
+        scores differ, and both job paths still agree under either."""
+        from associationabacminer_ray.pipelines.jobs import run_one_job
+        from associationabacminer_ray.pipelines.mining import mine_window
+
+        jobs = generate_jobs(datetime(2024, 1, 1), datetime(2024, 1, 25),
+                             grid={"metric": ["cscore", "lift"]})
+        first = {}
+        for job in jobs:
+            first.setdefault(job.config.metric, job)
+        policies, scores = {}, {}
+        for metric, job in first.items():
+            cfg = job.config
+            rules = mine_window(corpus, job.window, max_k=cfg.max_k,
+                                min_support=cfg.min_support,
+                                num_buckets=cfg.num_buckets, metric=metric,
+                                top_rules=cfg.top_rules)["rules"]
+            policies[metric] = set(zip(rules["antecedent"], rules["consequent"]))
+            scores[metric] = run_one_job(corpus, job, distributed=True)
+            want = run_one_job(corpus, job, distributed=False)
+            assert scores[metric] == want, f"{metric}: {scores[metric]} != {want}"
+        assert policies["lift"] != policies["cscore"]
+        assert scores["lift"]["c_tp"] != scores["cscore"]["c_tp"]
+
     def test_aggregate_scores_by_config(self, ray_session, corpus):
         from associationabacminer_ray.pipelines.evaluate import aggregate_scores
 

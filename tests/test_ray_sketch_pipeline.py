@@ -98,16 +98,29 @@ class TestSketchedItemsets:
         got_head = [(k, c) for k, c, _ in res["topk"].top(20)]
         assert got_head == exact_sorted[:20]
 
-    def test_partitioned_matches_shuffle(self, ray_session, tmp_path):
-        """Both sketch paths build their partials with the one builder:
-        on a conversation-sharded corpus the shuffle-free partitioned
-        pass and the bucket-shuffle pass give bit-identical CMS/HLL, the
-        same transaction count and the same top-k head."""
+    @pytest.mark.parametrize("mode", ["sketch", "exact"])
+    def test_partitioned_matches_shuffle(self, ray_session, tmp_path, mode):
+        """Both layouts end in the same tail of each mode: on a
+        conversation-sharded corpus the shuffle-free partitioned pass and
+        the bucket-shuffle pass give bit-identical CMS/HLL, the same
+        transaction count and the same top-k head (sketch), and the same
+        (itemset, k, support) rows (exact)."""
         import ray.data as rd
 
         from associationabacminer_ray.sources.transcripts import write_synth_transcripts
 
         paths = write_synth_transcripts(str(tmp_path), n_convs=3000, shards=4)
+        if mode == "exact":
+            def rows(supports: pd.DataFrame) -> list:
+                return sorted(supports[["itemset", "k", "support"]]
+                              .itertuples(index=False, name=None))
+
+            part = P.itemset_supports_partitioned(paths, mode="exact").to_pandas()
+            shuf, n_tx = P.split_tx_count(P.exact_itemset_supports(
+                rd.read_parquet(paths), include_tx_count=True).to_pandas())
+            assert len(part) and rows(part) == rows(shuf)
+            assert n_tx == 3000
+            return
         part = P.itemset_supports_partitioned(paths, mode="sketch", max_k=2)
         shuf = P.sketched_itemset_supports(
             rd.read_parquet(paths, columns=["conv_id", "role", "tool"]),
