@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from ..functions.hashing import mix_with_seed
+from ..functions.hashing import splitmix64
 from .base import Sketch
 
 U64 = np.uint64
@@ -32,6 +32,11 @@ class CountMinSketch(Sketch):
         self.width = int(width)
         self.depth = int(depth)
         self.seed = int(seed)
+        # row i hashes with mix_with_seed(h, seed·1315423911 + i); the
+        # splitmix of each row's seed is derived once here
+        self._row_seeds = splitmix64(np.array(
+            [(self.seed * 1315423911 + i) & 0xFFFFFFFFFFFFFFFF for i in range(self.depth)],
+            dtype=np.uint64))
         self.total = 0  # total weight added (for ε·N bounds)
         if table is None:
             table = np.zeros((self.depth, self.width), dtype=np.int64)
@@ -56,8 +61,8 @@ class CountMinSketch(Sketch):
     def _rows(self, hashes: np.ndarray):
         h = np.asarray(hashes, dtype=np.uint64)
         w = U64(self.width)
-        for i in range(self.depth):
-            yield i, (mix_with_seed(h, self.seed * 1315423911 + i) % w).astype(np.int64)
+        for i, s in enumerate(self._row_seeds):
+            yield i, (splitmix64(h ^ s) % w).astype(np.int64)
 
     def update_hashed(self, hashes: np.ndarray, counts: np.ndarray | None = None) -> "CountMinSketch":
         self._writable()

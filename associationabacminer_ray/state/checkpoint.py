@@ -25,7 +25,10 @@ uninterrupted run bit-for-bit (CMS/HLL/Bloom) or within bound
 Fail loud: a listed file is read through ``read_partition``, which
 raises ``ValueError`` naming the file when it cannot be read or its
 embedded ``config_hash`` disagrees with its name. Such a file is never
-taken for "not built" and never merged.
+taken for "not built" and never merged. A caller that keeps the file's
+bytes (the daily store's window cache compares them) reads them with
+``partition_bytes`` and hands them to ``read_partition``, so a file is
+opened once and checked by the same code either way.
 """
 
 from __future__ import annotations
@@ -95,14 +98,29 @@ def completed_partitions(ckpt_dir: str, cfg_hash: str) -> dict[int, str]:
     return out
 
 
+def partition_bytes(path: str) -> bytes:
+    """The whole content of a listed partition file; a file that cannot
+    be read raises ``ValueError`` naming it."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise ValueError(f"unreadable checkpoint partition {path}: {exc}") from exc
+
+
 def read_partition(path: str, cfg_hash: str,
-                   columns: Sequence[str] = ("name", "blob")) -> pa.Table:
+                   columns: Sequence[str] = ("name", "blob"),
+                   data: bytes | None = None) -> pa.Table:
     """``columns`` of a listed partition file, after checking that every
     row's embedded ``config_hash`` is the one its name carries; an
-    unreadable or stale file raises ``ValueError`` naming it."""
+    unreadable or stale file raises ``ValueError`` naming it. ``data``
+    is the file's content when the caller has read it already
+    (``partition_bytes``); then only those bytes are parsed."""
     want = [*columns, "config_hash"]
+    if data is None:
+        data = partition_bytes(path)
     try:
-        with pq.ParquetFile(path) as f:
+        with pq.ParquetFile(pa.BufferReader(data)) as f:
             tbl = f.read(columns=want)
     except (OSError, pa.ArrowException) as exc:
         raise ValueError(f"unreadable checkpoint partition {path}: {exc}") from exc
@@ -119,8 +137,10 @@ def read_partition(path: str, cfg_hash: str,
 def merge_blobs(names: Iterable[str], blobs: Iterable[bytes],
                 merged: dict[str, Sketch]) -> None:
     """Fold serialized sketches into ``merged`` by name, in order: the
-    first blob of a name seeds it, later ones merge in. THE blob-merge
-    loop of checkpoint resume and window queries."""
+    first blob of a name seeds it, later ones merge in. The blob-merge
+    loop of checkpoint resume and of the itemset sketch partial folds
+    (``pipelines.itemsets``); daily-store window queries merge cached
+    decodes in the same order (``state.incremental``)."""
     for name, blob in zip(names, blobs):
         sk = Sketch.from_bytes(bytes(blob))
         if name in merged:

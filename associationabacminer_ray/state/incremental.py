@@ -10,6 +10,17 @@ the corpus. A 30-day window stepped by 1 day costs one new day per
 step. Listing the store reads file names only (each carries the
 store's config hash), so a window opens exactly its own days' files.
 
+Overlapping windows share days, so each store keeps a cache of decoded
+days. Its key is a day file's exact content: every query still reads
+each window day's whole file and compares the bytes with the cached
+copy (no size, mtime or hash stands in for them). Equal bytes reuse the
+cached decode; any other bytes are parsed and checked by
+``checkpoint.read_partition`` as on a cold read, so a corrupt or stale
+file raises ``ValueError`` naming it whether or not its day was cached.
+Entries of days the listing no longer shows are dropped on every query,
+and the least recently used entries are evicted once the cached file
+and blob bytes pass ``WINDOW_CACHE_BYTES``.
+
 Input contract: the transcripts source is a list of
 conversation-partitioned parquet shards — no conversation spans two
 files (``sources.transcripts.write_synth_transcripts`` and the events
@@ -33,7 +44,10 @@ with error bounds carried.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -43,10 +57,29 @@ from ..sketches import Sketch, SpaceSaving
 from .checkpoint import (
     completed_partitions,
     config_hash,
-    merge_blobs,
+    partition_bytes,
     read_partition,
     write_partition,
 )
+
+# bound on the file plus blob bytes a store's window cache holds; the
+# decodes take about as much again (a day of the benchmark's 20k
+# conversations is ~0.35 MB of file and blobs)
+WINDOW_CACHE_BYTES = 64 << 20
+
+
+@dataclass(frozen=True)
+class _CachedDay:
+    """One day file's exact content, its blobs and their decodes. The
+    decodes are only ever merged INTO a fresh sketch, never handed out."""
+    data: bytes
+    names: list[str]
+    blobs: list[bytes]
+    sketches: list[Sketch]
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.data) + sum(len(b) for b in self.blobs)
 
 
 def _day_id(day: datetime) -> int:
@@ -87,6 +120,9 @@ class DailySketchStore:
             "topk_version": SpaceSaving.VERSION,
         }
         self.cfg = config_hash(self.params)
+        self._days: OrderedDict[int, _CachedDay] = OrderedDict()  # LRU first
+        self._days_bytes = 0
+        self._lock = threading.Lock()
 
     def ensure_days(self, paths: list[str], start: datetime, end: datetime) -> int:
         """Compute-and-checkpoint every missing day partial in [start, end)
@@ -125,20 +161,58 @@ class DailySketchStore:
         return len(missing)
 
     def window_sketches(self, start: datetime, end: datetime) -> dict[str, Sketch]:
-        """Merge the daily blobs covering [start, end): the listing opens
-        no file, then each window day's file is read once."""
+        """Merge the daily blobs covering [start, end) into new sketches
+        that the caller owns. The listing opens no file; then each window
+        day's file is read once, in day order, and its bytes are compared
+        with the store's cached copy of that day (see the module
+        docstring). No query skips reading or checking a file: equal
+        bytes reuse the cached decode, other bytes go through
+        ``read_partition``'s checks. Each name is seeded by a fresh
+        decode of its first blob and the later days' cached decodes
+        merge in, in day order — the fold of ``checkpoint.merge_blobs``,
+        so the result is byte-identical to it."""
+        if end <= start:
+            raise ValueError(f"empty window [{start:%Y-%m-%d}, {end:%Y-%m-%d})")
         done = completed_partitions(self.store_dir, self.cfg)
+        with self._lock:
+            for pid in [pid for pid in self._days if pid not in done]:
+                self._days_bytes -= self._days.pop(pid).nbytes
         merged: dict[str, Sketch] = {}
         day = start
         while day < end:
             pid = _day_id(day)
             if pid not in done:
                 raise KeyError(f"day {day:%Y-%m-%d} not built (call ensure_days)")
-            tbl = read_partition(done[pid], self.cfg)
-            merge_blobs(tbl.column("name").to_pylist(), tbl.column("blob").to_pylist(),
-                        merged)
+            cached = self._read_day(pid, done[pid])
+            for name, blob, sk in zip(cached.names, cached.blobs, cached.sketches):
+                if name in merged:
+                    merged[name].merge(sk)
+                else:
+                    merged[name] = Sketch.from_bytes(blob)
             day += timedelta(days=1)
         return merged
+
+    def _read_day(self, pid: int, path: str) -> _CachedDay:
+        """Day ``pid``'s file, read whole: the cached entry when its bytes
+        are equal, else those bytes parsed, checked, decoded and cached."""
+        data = partition_bytes(path)
+        with self._lock:
+            hit = self._days.get(pid)
+            if hit is not None and hit.data == data:
+                self._days.move_to_end(pid)
+                return hit
+        tbl = read_partition(path, self.cfg, data=data)
+        blobs = tbl.column("blob").to_pylist()
+        day = _CachedDay(data, tbl.column("name").to_pylist(), blobs,
+                         [Sketch.from_bytes(b) for b in blobs])
+        with self._lock:
+            old = self._days.pop(pid, None)
+            self._days[pid] = day
+            self._days_bytes += day.nbytes - (old.nbytes if old else 0)
+            # least recently used first; a day over the bound alone goes too
+            while self._days_bytes > WINDOW_CACHE_BYTES:
+                self._days_bytes -= self._days.popitem(last=False)[1].nbytes
+        return day
 
     def estimate_support(self, window_sketches: dict[str, Sketch],
                          itemset: str) -> int:

@@ -257,6 +257,14 @@ class TestIncrementalDailyStore:
         with pytest.raises(KeyError, match="not built"):
             store.window_sketches(datetime(2024, 1, 1), datetime(2024, 1, 2))
 
+    def test_empty_or_inverted_window_raises(self, tmp_path):
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = DailySketchStore(str(tmp_path / "d2"))
+        for end in (datetime(2024, 1, 3), datetime(2024, 1, 2)):
+            with pytest.raises(ValueError, match=r"\[2024-01-03, 2024-01-0[23]\)"):
+                store.window_sketches(datetime(2024, 1, 3), end)
+
 
 def _day_rows(store, day):
     """A stored day's ``(name, blob, row_count)`` rows."""
@@ -402,35 +410,153 @@ def _fake_store(store_dir, days, **params):
     return store
 
 
+def _windows(days):
+    """Every non-empty ``[start, end)`` window over ``days`` days from
+    2024-01-01."""
+    first = datetime(2024, 1, 1)
+    return [(first + timedelta(days=a), first + timedelta(days=b))
+            for a in range(days) for b in range(a + 1, days + 1)]
+
+
+def _window_bytes(sketches):
+    return {name: sk.to_bytes() for name, sk in sketches.items()}
+
+
+def _folded_window(store, start, end):
+    """The window as a plain ``merge_blobs`` fold over its day files."""
+    from associationabacminer_ray.state.checkpoint import (
+        completed_partitions,
+        merge_blobs,
+        read_partition,
+    )
+
+    done = completed_partitions(store.store_dir, store.cfg)
+    merged = {}
+    for d in range((end - start).days):
+        tbl = read_partition(done[(start + timedelta(days=d)).toordinal()], store.cfg)
+        merge_blobs(tbl.column("name").to_pylist(), tbl.column("blob").to_pylist(), merged)
+    return _window_bytes(merged)
+
+
+def _cap_cache(monkeypatch, store_dir, days):
+    """Bound the window cache of a 10-day fake store to ``days`` of its
+    largest days, or leave the module's bound with ``days=None``;
+    returns the bound."""
+    from associationabacminer_ray.state import incremental
+
+    if days is not None:
+        probe = incremental.DailySketchStore(store_dir)
+        probe.window_sketches(datetime(2024, 1, 1), datetime(2024, 1, 11))
+        monkeypatch.setattr(incremental, "WINDOW_CACHE_BYTES",
+                            days * max(d.nbytes for d in probe._days.values()))
+    return incremental.WINDOW_CACHE_BYTES
+
+
 class TestDailyStoreFiles:
     def test_window_opens_only_its_days(self, tmp_path, monkeypatch):
         import pyarrow.parquet as pq
 
+        from associationabacminer_ray.state import incremental
         from associationabacminer_ray.state.checkpoint import completed_partitions
 
         store = _fake_store(str(tmp_path / "daily"), 10)
         opened = []
-        real = pq.ParquetFile
+        real_bytes, real_file = incremental.partition_bytes, pq.ParquetFile
 
-        def counting(path, *args, **kwargs):
+        def counting(path):
             opened.append(path)
-            return real(path, *args, **kwargs)
+            return real_bytes(path)
+
+        def from_bytes_only(source, *args, **kwargs):
+            assert not isinstance(source, (str, os.PathLike)), \
+                "a day file is parsed from the bytes read, not reopened"
+            return real_file(source, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("window reads go through pq.ParquetFile")
+            raise AssertionError("window reads go through partition_bytes")
 
-        monkeypatch.setattr(pq, "ParquetFile", counting)
+        monkeypatch.setattr(incremental, "partition_bytes", counting)
+        monkeypatch.setattr(pq, "ParquetFile", from_bytes_only)
         monkeypatch.setattr(pq, "read_table", forbidden)
         done = completed_partitions(store.store_dir, store.cfg)
         assert len(done) == 10 and opened == []
         start = datetime(2024, 1, 3)
-        merged = store.window_sketches(start, start + timedelta(days=7))
-        assert opened == [done[(start + timedelta(days=d)).toordinal()]
-                          for d in range(7)]
-        assert merged["topk"].total == 35
-        assert merged["topk"].counters["k8"] == [5, 0]
+        want = [done[(start + timedelta(days=d)).toordinal()] for d in range(7)]
+        # cold, then warm: the cache never skips reading a window day
+        for _ in range(2):
+            opened.clear()
+            merged = store.window_sketches(start, start + timedelta(days=7))
+            assert opened == want
+            assert merged["topk"].total == 35
+            assert merged["topk"].counters["k8"] == [5, 0]
+
+    @pytest.mark.parametrize("cached_days", [None, 3])
+    def test_cache_never_changes_an_answer(self, tmp_path, monkeypatch, cached_days):
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = _fake_store(str(tmp_path / "daily"), 10)
+        cap = _cap_cache(monkeypatch, store.store_dir, cached_days)
+        windows = _windows(10)
+        want = {w: _folded_window(store, *w) for w in windows}
+        # a capacity-8 top-k over 5 keys a day, one new key a day: a
+        # window of 5 or more days trims
+        assert len(store.window_sketches(*windows[3])["topk"].keys) == 8
+        assert store.window_sketches(*windows[4])["topk"].err.any()
+        for w in windows:
+            cold = DailySketchStore(store.store_dir)
+            assert _window_bytes(cold.window_sketches(*w)) == want[w]
+        for _ in range(2):  # the first pass fills the cache, the second hits it
+            for w in windows:
+                assert _window_bytes(store.window_sketches(*w)) == want[w]
+        if cached_days is None:
+            assert len(store._days) == 10
+        else:
+            assert 0 < len(store._days) <= cached_days
+        assert store._days_bytes == sum(d.nbytes for d in store._days.values()) <= cap
+
+    def test_returned_window_is_the_callers_own(self, tmp_path):
+        store = _fake_store(str(tmp_path / "daily"), 10)
+        windows = _windows(10)
+        for w in windows:
+            want = _window_bytes(store.window_sketches(*w))
+            got = store.window_sketches(*w)
+            other = store.window_sketches(*windows[-1])
+            for name, sk in got.items():
+                sk.merge(other[name])
+            assert _window_bytes(store.window_sketches(*w)) == want
+
+    @pytest.mark.parametrize("cached_days", [None, 4])
+    def test_concurrent_windows_equal_sequential(self, tmp_path, monkeypatch, cached_days):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from associationabacminer_ray.state.incremental import DailySketchStore
+
+        store = _fake_store(str(tmp_path / "daily"), 10)
+        cap = _cap_cache(monkeypatch, store.store_dir, cached_days)
+        windows = [w for w in _windows(10) if (w[1] - w[0]).days >= 5]
+        want = {w: _window_bytes(DailySketchStore(store.store_dir).window_sketches(*w))
+                for w in windows}
+
+        def run(offset):
+            return [(w, _window_bytes(store.window_sketches(*w)))
+                    for w in (windows[offset:] + windows[:offset]) * 3]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as ex:
+                futures = [ex.submit(run, t * len(windows) // 4) for t in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert len(result) == 3 * len(windows)
+            assert all(got == want[w] for w, got in result)
+        assert store._days_bytes == sum(d.nbytes for d in store._days.values()) <= cap
 
     def test_corrupt_or_stale_day_raises(self, tmp_path):
+        import pyarrow as pa
         import pyarrow.parquet as pq
 
         from associationabacminer_ray.state.checkpoint import completed_partitions
@@ -438,24 +564,55 @@ class TestDailyStoreFiles:
         store = _fake_store(str(tmp_path / "daily"), 3)
         start, end = datetime(2024, 1, 1), datetime(2024, 1, 4)
         done = completed_partitions(store.store_dir, store.cfg)
-        day2 = done[datetime(2024, 1, 2).toordinal()]
-        # a file of another config renamed under this config's name
+        pid2 = datetime(2024, 1, 2).toordinal()
+        day2 = done[pid2]
+        with open(day2, "rb") as f:
+            good = f.read()
         other = _fake_store(str(tmp_path / "other"), 3, hll_p=12)
-        stale = completed_partitions(other.store_dir, other.cfg)[
-            datetime(2024, 1, 2).toordinal()]
-        os.replace(stale, day2)
-        with pytest.raises(ValueError, match=os.path.basename(day2)):
-            store.window_sketches(start, end)
-        # a file without the embedded hash cannot be checked against its name
-        pq.write_table(pq.read_table(day2).drop_columns(["config_hash"]), day2)
-        with pytest.raises(ValueError, match=os.path.basename(day2)):
-            store.window_sketches(start, end)
-        with open(day2, "wb") as f:
-            f.write(b"not a parquet file")
-        with pytest.raises(ValueError, match=os.path.basename(day2)):
-            store.window_sketches(start, end)
+        stale = completed_partitions(other.store_dir, other.cfg)[pid2]
+
+        def renamed_stale():
+            # a file of another config renamed under this config's name
+            tmp = day2 + ".stale"
+            with open(stale, "rb") as src, open(tmp, "wb") as dst:
+                dst.write(src.read())
+            os.replace(tmp, day2)
+
+        def unhashed():
+            # a file without the embedded hash cannot be checked against its name
+            tbl = pq.read_table(pa.BufferReader(good)).drop_columns(["config_hash"])
+            pq.write_table(tbl, day2)
+
+        def not_parquet():
+            with open(day2, "wb") as f:
+                f.write(b"not a parquet file")
+
+        def same_length_garbage():
+            # rewritten in place at once: size and a coarse mtime can match
+            with open(day2, "r+b") as f:
+                f.write(b"x" * len(good))
+
+        for corrupt in (renamed_stale, unhashed, not_parquet, same_length_garbage):
+            with open(day2, "wb") as f:
+                f.write(good)
+            store.window_sketches(start, end)  # the good day is cached
+            corrupt()
+            with pytest.raises(ValueError, match=os.path.basename(day2)):
+                store.window_sketches(start, end)
+            # a second query checks the file again, it never hits the cache
+            with pytest.raises(ValueError, match=os.path.basename(day2)):
+                store.window_sketches(start, end)
         # the listing still trusts the name: nothing is rebuilt over it
         assert store.ensure_days([], start, end) == 0
+        with open(day2, "wb") as f:
+            f.write(good)
+        store.window_sketches(start, end)
+        assert pid2 in store._days
+        os.remove(day2)
+        with pytest.raises(KeyError, match="not built"):
+            store.window_sketches(start, end)
+        assert set(store._days) <= set(completed_partitions(store.store_dir, store.cfg))
+        assert pid2 not in store._days
 
     def test_unhashed_day_file_is_rebuilt(self, ray_session, corpus, tmp_path):
         from associationabacminer_ray.state.checkpoint import completed_partitions

@@ -242,6 +242,24 @@ class TestSpaceSaving:
         assert back.total == 4
 
 
+@pytest.mark.parametrize("make", [
+    lambda keys: CountMinSketch(width=64, depth=3).update_hashed(hash_strings(keys)),
+    lambda keys: HyperLogLog(p=6).update_hashed(hash_strings(keys)),
+    lambda keys: SpaceSaving(capacity=64).update(keys),
+    lambda keys: SpaceSaving(capacity=4).update(keys),  # the merge trims
+], ids=["cms", "hll", "topk", "topk_trimming"])
+def test_merge_leaves_its_argument_unchanged(make):
+    """A merge only reads its argument, also one decoded from bytes (the
+    daily store's window cache merges its cached decodes into new
+    sketches and relies on this)."""
+    a = make([f"a{i % 7}" for i in range(40)] + ["shared"] * 5)
+    b = make([f"b{i % 5}" for i in range(30)] + ["shared"] * 3)
+    for arg in (b, Sketch.from_bytes(b.to_bytes())):
+        before = arg.to_bytes()
+        a.merge(arg)
+        assert arg.to_bytes() == before
+
+
 # ---------------------------------------------------------------- quantiles
 DISTS = {
     "uniform": lambda rng, n: rng.uniform(0, 1, n),
