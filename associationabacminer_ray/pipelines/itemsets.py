@@ -19,10 +19,10 @@ mode (E = ``merge_exact_itemset_partials``, S =
 conversation's hash bucket; ``process_shard`` reads each shard's
 dictionary codes with no shuffle, once for all ``days=``; the greedy
 rounds count each batch of one-per-conversation transactions. E sums
-(itemset, count) rows over a bucketed exchange; S folds the sketch
-blobs in one block in (name, part) order. Exact mode is the
-small-scale oracle; sketch mode is the 100 TB path — its exchange
-moves only fixed-size registers.
+(itemset, count) rows over a bucketed exchange; S takes the few sketch
+blobs to the driver and folds them there in (name, part) order. Exact
+mode is the small-scale oracle; sketch mode is the 100 TB path — all
+it moves after the partial builder is fixed-size registers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ray.data import Dataset
 
 from ..functions.hashing import hash_strings
 from ..functions.windows import ts_range
+from ..runtime import release_freed_heap
 from ..sketches import CountMinSketch, HyperLogLog, SpaceSaving
 from ..state.checkpoint import merge_blobs, run_with_checkpoint
 from ..stages.transactionize import (
@@ -306,30 +307,6 @@ def itemset_sketch_partial(partial: pd.DataFrame, conv_hashes: np.ndarray,
     })
 
 
-def _fold_in_part_order(rows: pd.DataFrame) -> pd.DataFrame:
-    """One ``(day, name, blob, n_transactions)`` row per day and sketch:
-    each day's rows folded through ``merge_blobs`` in ``(name, part)``
-    order. Rows without a ``day`` column are all day 0."""
-    if rows.empty:
-        return rows
-    if "day" not in rows.columns:
-        rows = rows.assign(day=np.int64(0))
-    out = []
-    for day, group in rows.sort_values(["day", "name", "part"]).groupby("day"):
-        merged: dict = {}
-        merge_blobs(group["name"], group["blob"], merged)
-        # every partial stamps its transaction count on each of its rows,
-        # so any single name's sum is the day's total
-        first = group["name"] == group["name"].iloc[0]
-        out.append(pd.DataFrame({
-            "day": np.int64(day),
-            "name": list(merged),
-            "blob": [sk.to_bytes() for sk in merged.values()],
-            "n_transactions": np.int64(group.loc[first, "n_transactions"].sum()),
-        }))
-    return pd.concat(out, ignore_index=True)
-
-
 def merge_itemset_sketch_partials(partials: Dataset, sizes: dict,
                                   n_days: int | None = None):
     """Merge ``itemset_sketch_partial`` rows (plus ``part``) into
@@ -338,31 +315,30 @@ def merge_itemset_sketch_partials(partials: Dataset, sizes: dict,
     also carries an int ``day`` in ``[0, n_days)``, each day's rows merge
     on their own, and the result is a list of ``n_days`` such dicts.
 
-    The rows go to one block and fold there through ``merge_blobs``, the
-    loop of window queries and checkpoint resume, in ``(name, part)``
+    The driver takes the few partial rows (3 per shard, bucket or batch)
+    and folds each day's through ``merge_blobs`` in ``(name, part)``
     order. Space-Saving merges stop commuting once the sketch trims, so
     a fixed order is what makes the merged top-k a function of the input
-    rather than of Ray's block layout. The driver receives only the
-    merged blobs: folding the partials on the driver grew its peak RSS
-    with every job (PERF #35)."""
-    rows = (partials.repartition(1)
-            .map_batches(_fold_in_part_order, batch_size=None,
-                         batch_format="pandas")
-            .take_all())
-    out = []
-    for day in range(1 if n_days is None else n_days):
-        day_rows = [r for r in rows if r["day"] == day]
-        if not day_rows:
-            out.append({"cms": CountMinSketch(width=sizes["cms_width"],
-                                              depth=sizes["cms_depth"]),
-                        "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
-                        "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0})
-            continue
-        merged: dict = {}
-        merge_blobs([r["name"] for r in day_rows], [r["blob"] for r in day_rows],
-                    merged)
-        merged["n_transactions"] = int(day_rows[0]["n_transactions"])
-        out.append(merged)
+    rather than of Ray's block layout. The decoded partials and the
+    fold's intermediates are freed here, but glibc keeps freed heap in
+    the arenas of the threads that ran the fold, and without a trim the
+    driver's resident memory grew with every job (PERF.md #35, #38); so
+    the merge ends by handing that memory back (``release_freed_heap``)."""
+    out = [{"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
+            "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
+            "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0}
+           for _ in range(1 if n_days is None else n_days)]
+    # a zero-state sketch merges its first partial in unchanged, so the
+    # fold equals one seeded by that partial, and a day without rows
+    # keeps its fresh sketches
+    for row in sorted(partials.take_all(),
+                      key=lambda r: (r.get("day", 0), r["name"], r["part"])):
+        merged = out[row.get("day", 0)]
+        merge_blobs([row["name"]], [row["blob"]], merged)
+        # every partial stamps its transaction count on each of its rows
+        if row["name"] == SKETCH_NAMES[0]:
+            merged["n_transactions"] += int(row["n_transactions"])
+    release_freed_heap()
     return out if n_days is not None else out[0]
 
 
@@ -427,7 +403,7 @@ def itemset_supports_partitioned(paths: list[str], mode: str = "sketch",
     transaction build is embarrassingly parallel: one task per shard
     reads its file, transactionizes, expands itemsets and emits partial
     counts (or sketch blobs, ``part`` = the shard's position in
-    ``paths``) — the only exchange left is the tiny partial merge. This
+    ``paths``) that the driver folds; there is no exchange at all. This
     is the 100 TB path: the general shuffle path
     (``exact_/sketched_itemset_supports``) exists for un-partitioned
     input.

@@ -184,8 +184,8 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     transactions Dataset: each BATCH (rows are one-per-conversation, so
     batches never double-count) becomes one ``itemset_sketch_partial``,
     with ``part`` the batch's smallest conversation hash, so the fold
-    order follows the rows rather than block arrival; the only exchange
-    is fixed-size blobs. Returns the top-k head as an
+    order follows the rows rather than block arrival; only fixed-size
+    blobs reach the driver. Returns the top-k head as an
     (itemset, k, support) frame, CMS-backfilling any proper subset the
     head is missing so rule scoring has its antecedent supports. Counts
     are overestimates (monotone-safe for min_support pruning and for

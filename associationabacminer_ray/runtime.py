@@ -9,6 +9,9 @@ every core.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import functools
 import os
 
 
@@ -24,6 +27,29 @@ def cluster_cpus(default: int = 4) -> int:
     except Exception:
         pass
     return os.cpu_count() or default
+
+
+@functools.lru_cache(maxsize=1)
+def _malloc_trim():
+    """glibc's ``malloc_trim``, looked up once; None where the C library
+    cannot be found or has no such symbol (musl, macOS, Windows)."""
+    name = ctypes.util.find_library("c")
+    try:
+        return ctypes.CDLL(name).malloc_trim if name else None
+    except (OSError, AttributeError):
+        return None
+
+
+def release_freed_heap() -> None:
+    """Hand the heap this process has freed back to the OS
+    (``malloc_trim(0)``; a no-op without glibc). glibc keeps freed
+    blocks in per-thread arenas, so a driver that decodes and merges
+    sketches on short-lived threads keeps growing its resident memory
+    though nothing holds the blocks; the sketch-partial merge calls this
+    once at its end."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def sf_tag(sf_dir: str) -> str:

@@ -58,30 +58,30 @@ class CountMinSketch(Sketch):
         return cls(width=width, depth=depth, seed=seed)
 
     # -- updates -------------------------------------------------------
-    def _rows(self, hashes: np.ndarray):
-        h = np.asarray(hashes, dtype=np.uint64)
-        w = U64(self.width)
-        for i, s in enumerate(self._row_seeds):
-            yield i, (splitmix64(h ^ s) % w).astype(np.int64)
+    def _indices(self, h: np.ndarray) -> np.ndarray:
+        """``(depth, len(h))`` column indices of the 1-D uint64 hashes
+        ``h``: row i maps a hash to ``splitmix64(h ^ row_seed_i) % width``,
+        all rows in one broadcast call (a per-row loop of ``splitmix64``
+        calls is mostly NumPy call overhead for a few keys)."""
+        return (splitmix64(h[None, :] ^ self._row_seeds[:, None])
+                % U64(self.width)).astype(np.int64)
 
     def update_hashed(self, hashes: np.ndarray, counts: np.ndarray | None = None) -> "CountMinSketch":
         self._writable()
-        h = np.asarray(hashes, dtype=np.uint64)
+        h = np.atleast_1d(np.asarray(hashes, dtype=np.uint64))
         if counts is None:
             counts = np.ones(h.shape, dtype=np.int64)
         else:
             counts = np.asarray(counts, dtype=np.int64)
-        for i, idx in self._rows(h):
-            np.add.at(self.table[i], idx, counts)
+        for row, idx in zip(self.table, self._indices(h)):
+            np.add.at(row, idx, counts)
         self.total += int(counts.sum())
         return self
 
     def estimate_hashed(self, hashes: np.ndarray) -> np.ndarray:
         h = np.atleast_1d(np.asarray(hashes, dtype=np.uint64))
-        est = np.full(h.shape, np.iinfo(np.int64).max, dtype=np.int64)
-        for i, idx in self._rows(h):
-            np.minimum(est, self.table[i][idx], out=est)
-        return est
+        rows = np.arange(self.depth)[:, None]
+        return self.table[rows, self._indices(h)].min(axis=0)
 
     def estimate_one(self, hashed_key: int) -> int:
         return int(self.estimate_hashed(np.array([hashed_key], dtype=np.uint64))[0])

@@ -33,9 +33,11 @@ opened once and checked by the same code either way.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import threading
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -59,14 +61,18 @@ def _part_path(ckpt_dir: str, cfg_hash: str, pid: int) -> str:
 def write_partition(ckpt_dir: str, pid: int, sketches: dict[str, Sketch],
                     input_files: Sequence[str], row_count: int,
                     cfg_hash: str, wall_s: float | None = None) -> str:
-    """Atomic write: tmp file + rename, so a killed run never leaves a
-    half-written partition that resume would trust. ``wall_s`` is the
-    partition's compute wall time — the per-partition metric record
+    """Atomic write: a per-writer tmp file + rename, so a killed run
+    never leaves a half-written partition that resume would trust, and
+    concurrent writers of one partition leave one whole file. ``wall_s``
+    is the partition's compute wall time — the per-partition metric record
     (straggler/skew diagnosis on resume: a partition whose recompute
     takes 10x its neighbors is a skewed shard)."""
     os.makedirs(ckpt_dir, exist_ok=True)
     path = _part_path(ckpt_dir, cfg_hash, pid)
-    tmp = path + ".tmp"
+    # one tmp name per writer: two writers of a partition (two processes
+    # building the same store days) must not write into one file; as no
+    # later writer reuses the name, a failed write removes its own tmp
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     n = len(sketches)
     tbl = pa.table(
         {
@@ -79,8 +85,13 @@ def write_partition(ckpt_dir: str, pid: int, sketches: dict[str, Sketch],
             "wall_s": [float(wall_s) if wall_s is not None else -1.0] * n,
         }
     )
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, path)
+    try:
+        pq.write_table(tbl, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 

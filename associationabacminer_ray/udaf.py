@@ -299,7 +299,7 @@ class SketchMergeAgg(AggregateFnV2):
     groupby-aggregate over those partials — the all-to-all exchange only
     ever moves O(KB) registers, never rows. Its merge order follows the
     block layout, so a trimmed top-k tail does too. Every itemset
-    supports path instead folds in one task in part order
+    supports path instead folds on the driver in part order
     (``itemsets.merge_itemset_sketch_partials``).
     """
 

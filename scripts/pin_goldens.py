@@ -44,9 +44,10 @@ GOLDEN = [
     # cross-CPU hash-stable at 3 and 16 CPUs
     # "simhash_bands" — retired: now fully DERIVED (sqlgen.simhash_bands_sql)
     "multimodal_features",
-    # heavy-hitter itemsets: the sketch partials fold in one task in
-    # (name, part) order, so even a trimming top-k is a function of the
-    # input alone — validated on fresh runs at 2/4/8 CPUs
+    # heavy-hitter itemsets: the sketch partials fold in (name, part)
+    # order, so even a trimming top-k is a function of the input alone
+    # — validated on fresh runs at 2/4/8 CPUs (fold in a task) and at
+    # 2/4 CPUs (fold on the driver)
     "sketch_topk_itemsets",
     "policy_scores",
     "policy_scores_universe",

@@ -1,6 +1,7 @@
 """Checkpoint/lineage + resume (FIXTURES §F5): resume-equals-fresh."""
 
 import os
+import threading
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -183,3 +184,39 @@ class TestFailLoud:
         out = run_with_checkpoint(files, str(tmp_path), tracking, cfg)
         assert calls == [0, 1]
         assert out["hll"].to_bytes() == fresh["hll"].to_bytes()
+
+    def test_concurrent_writers_of_one_partition(self, tmp_path):
+        """Each writer has its own tmp name: threads writing the same
+        partition at once leave one whole partition file and no tmp."""
+        ch = config_hash({"v": 1})
+        sketches, n = _local_compute(0, "a")
+        gate = threading.Barrier(8)
+
+        def write():
+            gate.wait()
+            for _ in range(5):
+                write_partition(str(tmp_path), 0, sketches, ["a"], n, ch)
+
+        threads = [threading.Thread(target=write) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        done = completed_partitions(str(tmp_path), ch)
+        assert os.listdir(tmp_path) == [os.path.basename(done[0])]
+        tbl = read_partition(done[0], ch, ("name", "blob", "row_count"))
+        assert tbl.column("row_count").to_pylist() == [n, n]
+        assert tbl.column("blob").to_pylist() == [s.to_bytes() for s in sketches.values()]
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path, monkeypatch):
+        def half_write(tbl, where):
+            with open(where, "wb") as f:
+                f.write(b"PAR1")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pq, "write_table", half_write)
+        sketches, n = _local_compute(0, "a")
+        with pytest.raises(OSError, match="disk full"):
+            write_partition(str(tmp_path), 0, sketches, ["a"], n,
+                            config_hash({"v": 1}))
+        assert os.listdir(tmp_path) == []

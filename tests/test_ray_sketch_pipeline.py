@@ -20,7 +20,12 @@ from associationabacminer_ray.functions.hashing import (
     hash_string_scalar,
     hash_strings,
 )
-from associationabacminer_ray.sketches import Sketch
+from associationabacminer_ray.sketches import (
+    CountMinSketch,
+    HyperLogLog,
+    Sketch,
+    SpaceSaving,
+)
 from associationabacminer_ray.sources.transcripts import synth_transcripts
 from associationabacminer_ray.stages.sketch_update import (
     SketchSpec,
@@ -177,6 +182,122 @@ class TestSketchedItemsets:
             for key, (count, err) in topk.counters.items():
                 assert count - err <= exact[key] <= count, key
         assert len(want["topk"].counters) == sizes["topk_capacity"]
+
+    def test_day_without_rows_gets_zero_state_sketches(self, ray_session):
+        import ray.data as rd
+
+        sizes = dict(cms_width=64, cms_depth=3, topk_capacity=8, hll_p=8)
+        partial = pd.DataFrame({"itemset": ["a", "b", "a|b"],
+                                "count": np.array([3, 2, 2], np.int64)})
+        rows = pd.concat([P.itemset_sketch_partial(
+            partial, hash_strings(pd.Series(["c1", "c2", "c3"])), 3, sizes)
+            .assign(part=np.int64(0), day=np.int64(day)) for day in (0, 2)],
+            ignore_index=True)
+        days = P.merge_itemset_sketch_partials(rd.from_pandas(rows), sizes, n_days=4)
+        assert [d["n_transactions"] for d in days] == [3, 0, 3, 0]
+        for empty in (days[1], days[3]):
+            assert set(empty) == {*P.SKETCH_NAMES, "n_transactions"}
+            assert empty["cms"].to_bytes() == CountMinSketch(width=64, depth=3).to_bytes()
+            assert empty["hll"].to_bytes() == HyperLogLog(p=8).to_bytes()
+            assert empty["topk"].to_bytes() == SpaceSaving(capacity=8).to_bytes()
+        assert days[0]["topk"].counters == {"a": [3, 0], "a|b": [2, 0], "b": [2, 0]}
+        assert days[0]["cms"] is not days[2]["cms"]
+
+    @pytest.mark.parametrize("layout", ["shard", "days", "shuffle"])
+    def test_driver_fold_equals_merge_blobs_in_part_order(
+            self, ray_session, tmp_path, monkeypatch, layout):
+        """The merge's result is the plain ``merge_blobs`` fold of its
+        partial rows in (day, name, part) order: CMS/HLL bytes, the
+        trimming top-k's counters and total, and n_transactions."""
+        from datetime import datetime
+
+        import ray.data as rd
+
+        from associationabacminer_ray.sources.transcripts import write_synth_transcripts
+        from associationabacminer_ray.state.checkpoint import merge_blobs
+
+        paths = write_synth_transcripts(str(tmp_path), n_convs=1500, shards=4)
+        seen = []
+        merge = P.merge_itemset_sketch_partials
+
+        def keep_partials(partials, sizes, n_days=None):
+            seen.append(partials.materialize())
+            return merge(seen[-1], sizes, n_days)
+
+        monkeypatch.setattr(P, "merge_itemset_sketch_partials", keep_partials)
+        if layout == "shuffle":
+            got = [P.sketched_itemset_supports(rd.read_parquet(paths),
+                                               topk_capacity=32, num_buckets=8)]
+        elif layout == "days":
+            got = P.itemset_supports_partitioned(
+                paths, topk_capacity=32,
+                days=[datetime(2024, 1, 2), datetime(2024, 1, 9), datetime(2030, 1, 1)])
+        else:
+            got = [P.itemset_supports_partitioned(paths, topk_capacity=32)]
+        rows = sorted(seen[0].take_all(),
+                      key=lambda r: (r.get("day", 0), r["name"], r["part"]))
+        assert len({r["part"] for r in rows}) > 1
+        for day, res in enumerate(got):
+            day_rows = [r for r in rows if r.get("day", 0) == day]
+            want: dict = {}
+            merge_blobs([r["name"] for r in day_rows], [r["blob"] for r in day_rows], want)
+            assert res["n_transactions"] == sum(
+                r["n_transactions"] for r in day_rows if r["name"] == "hll")
+            assert res["cms"].to_bytes() == want["cms"].to_bytes()
+            assert res["hll"].to_bytes() == want["hll"].to_bytes()
+            assert res["topk"].counters == want["topk"].counters
+            assert res["topk"].total == want["topk"].total
+        if layout == "days":  # every shard sends rows for a day it lacks
+            assert got[0]["n_transactions"] > 0 and got[2]["n_transactions"] == 0
+        else:
+            assert len(got[0]["topk"].counters) == 32  # the merge trimmed
+
+    @pytest.mark.parametrize("libc", ["missing", "no_symbol"])
+    def test_release_freed_heap_without_malloc_trim(self, monkeypatch, libc):
+        """Where there is no C library, or it has no ``malloc_trim``
+        (musl, macOS), releasing the freed heap is a quiet no-op."""
+        import ctypes
+        import ctypes.util
+
+        from associationabacminer_ray import runtime
+
+        class NoTrim:
+            def __init__(self, name):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        if libc == "missing":
+            monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", NoTrim)
+        runtime._malloc_trim.cache_clear()
+        try:
+            assert runtime._malloc_trim() is None
+            assert runtime.release_freed_heap() is None
+        finally:
+            runtime._malloc_trim.cache_clear()
+
+    def test_sketch_supports_need_no_exchange(self, ray_session, tmp_path, monkeypatch):
+        """Sketch-mode supports over conversation-sharded files fold on
+        the driver: no repartition (or any other exchange) runs."""
+        from datetime import datetime
+
+        import ray.data as rd
+
+        from associationabacminer_ray.sources.transcripts import write_synth_transcripts
+
+        paths = write_synth_transcripts(str(tmp_path), n_convs=600, shards=3)
+
+        def no_exchange(*args, **kwargs):
+            raise AssertionError("sketch-mode supports repartitioned")
+
+        monkeypatch.setattr(rd.Dataset, "repartition", no_exchange)
+        res = P.itemset_supports_partitioned(paths)
+        assert res["n_transactions"] == 600
+        days = P.itemset_supports_partitioned(paths, days=[datetime(2024, 1, 3)])
+        assert 0 < days[0]["n_transactions"] < 600
 
 
 class TestUpdaterStage:

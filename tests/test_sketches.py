@@ -17,6 +17,7 @@ from associationabacminer_ray.functions.hashing import (
     combine_hashes,
     hash_ints,
     hash_strings,
+    mix_with_seed,
     splitmix64,
 )
 from associationabacminer_ray.sketches import (
@@ -143,6 +144,32 @@ class TestCMS:
                     CountMinSketch(width=128, depth=3, seed=9)):
             with pytest.raises(ValueError):
                 a.inner_product(bad)
+
+    @pytest.mark.parametrize("seed,width,depth", [
+        (7, 1 << 13, 4), (0, 1, 1), (1, 100, 3), (123, 1 << 15, 5), (9, 777, 2)])
+    def test_row_indices_follow_the_per_row_formula(self, seed, width, depth):
+        """All rows' indices come from one broadcast call; row i must
+        still map a hash h to mix_with_seed(h, seed·1315423911 + i) % width."""
+        rng = np.random.default_rng(seed)
+        h = rng.integers(0, np.iinfo(np.uint64).max, 5000, dtype=np.uint64,
+                         endpoint=True)
+        cms = CountMinSketch(width=width, depth=depth, seed=seed)
+        idx = cms._indices(h)
+        assert idx.shape == (depth, len(h)) and idx.dtype == np.int64
+        for i in range(depth):
+            want = mix_with_seed(h, seed * 1315423911 + i) % np.uint64(width)
+            np.testing.assert_array_equal(idx[i], want.astype(np.int64))
+        # updates and estimates read those same cells
+        counts = rng.integers(1, 50, len(h))
+        cms.update_hashed(h, counts)
+        table = np.zeros((depth, width), dtype=np.int64)
+        for i in range(depth):
+            np.add.at(table[i], idx[i], counts)
+        np.testing.assert_array_equal(cms.table, table)
+        np.testing.assert_array_equal(
+            cms.estimate_hashed(h), table[np.arange(depth)[:, None], idx].min(axis=0))
+        assert cms.estimate_one(int(h[0])) == cms.estimate_hashed(h[:1])[0]
+        assert cms.estimate_hashed(h[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------- HLL
