@@ -30,12 +30,19 @@ _SM_M2 = U64(0x94D049BB133111EB)
 
 
 def splitmix64(x: np.ndarray | int) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer. uint64 in → uint64 out."""
-    with np.errstate(over="ignore"):  # uint64 wrap-around is the algorithm
-        z = np.asarray(x, dtype=np.uint64) + _SM_GAMMA
-        z = (z ^ (z >> U64(30))) * _SM_M1
-        z = (z ^ (z >> U64(27))) * _SM_M2
-        return z ^ (z >> U64(31))
+    """Vectorized SplitMix64 finalizer. uint64 in → uint64 out; a 0-d
+    input gives a NumPy scalar. The steps run in place on a new array
+    (array arithmetic wraps around silently, the algorithm's uint64
+    arithmetic; scalar arithmetic would warn, so a 0-d input is mixed
+    as a one-element array)."""
+    x = np.asarray(x, dtype=np.uint64)
+    z = np.atleast_1d(x) + _SM_GAMMA
+    z ^= z >> U64(30)
+    z *= _SM_M1
+    z ^= z >> U64(27)
+    z *= _SM_M2
+    z ^= z >> U64(31)
+    return z[0] if x.ndim == 0 else z
 
 
 def mix_with_seed(h: np.ndarray, seed: int) -> np.ndarray:

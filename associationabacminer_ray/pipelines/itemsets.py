@@ -316,28 +316,31 @@ def merge_itemset_sketch_partials(partials: Dataset, sizes: dict,
     on their own, and the result is a list of ``n_days`` such dicts.
 
     The driver takes the few partial rows (3 per shard, bucket or batch)
-    and folds each day's through ``merge_blobs`` in ``(name, part)``
-    order. Space-Saving merges stop commuting once the sketch trims, so
-    a fixed order is what makes the merged top-k a function of the input
-    rather than of Ray's block layout. The decoded partials and the
-    fold's intermediates are freed here, but glibc keeps freed heap in
-    the arenas of the threads that ran the fold, and without a trim the
-    driver's resident memory grew with every job (PERF.md #35, #38); so
-    the merge ends by handing that memory back (``release_freed_heap``)."""
-    out = [{"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
-            "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
-            "hll": HyperLogLog(p=sizes["hll_p"]), "n_transactions": 0}
-           for _ in range(1 if n_days is None else n_days)]
-    # a zero-state sketch merges its first partial in unchanged, so the
-    # fold equals one seeded by that partial, and a day without rows
-    # keeps its fresh sketches
-    for row in sorted(partials.take_all(),
-                      key=lambda r: (r.get("day", 0), r["name"], r["part"])):
-        merged = out[row.get("day", 0)]
-        merge_blobs([row["name"]], [row["blob"]], merged)
-        # every partial stamps its transaction count on each of its rows
-        if row["name"] == SKETCH_NAMES[0]:
-            merged["n_transactions"] += int(row["n_transactions"])
+    and folds each day's through ``merge_blobs``: per name, one
+    ``Sketch.fold`` in ``part`` order. Space-Saving merges stop
+    commuting once the sketch trims, so a fixed order is what makes the
+    merged top-k a function of the input rather than of Ray's block
+    layout. The decoded partials and the fold's intermediates are freed
+    here, but glibc keeps freed heap in the arenas of the threads that
+    ran the fold, and without a trim the driver's resident memory grew
+    with every job (PERF.md #35, #38); so the merge ends by handing that
+    memory back (``release_freed_heap``)."""
+    by_day: list[list[dict]] = [[] for _ in range(1 if n_days is None else n_days)]
+    for row in sorted(partials.take_all(), key=lambda r: (r["name"], r["part"])):
+        by_day[row.get("day", 0)].append(row)
+    out = []
+    for rows in by_day:
+        if rows:  # every partial has a row of each name
+            merged: dict = {}
+            merge_blobs([r["name"] for r in rows], [r["blob"] for r in rows], merged)
+        else:
+            merged = {"cms": CountMinSketch(width=sizes["cms_width"], depth=sizes["cms_depth"]),
+                      "topk": SpaceSaving(capacity=sizes["topk_capacity"]),
+                      "hll": HyperLogLog(p=sizes["hll_p"])}
+        out.append({**{name: merged[name] for name in SKETCH_NAMES},
+                    # every partial stamps its transaction count on each of its rows
+                    "n_transactions": sum(int(r["n_transactions"]) for r in rows
+                                          if r["name"] == SKETCH_NAMES[0])})
     release_freed_heap()
     return out if n_days is not None else out[0]
 

@@ -77,8 +77,9 @@ def q_hll_role_union(sf_dir: str) -> pd.DataFrame:
     face on the cardinality side): per-role conv HLLs built in ONE
     grouped shuffle (KB registers per role, never rows), then every
     role pair's union estimate from the register element-wise max and
-    its intersection by inclusion-exclusion (clamped at 0 — the
-    documented error caveat of ``hll_intersection_estimate``). Keys on
+    its intersection by inclusion-exclusion, clamped at 0 (each term
+    carries ±1.04/√m, so a small intersection of large sets can vanish
+    into the noise). Keys on
     the poly hash and the merge-order-exact estimator, so BOTH
     estimates are reproduced bit-for-bit by the DERIVED oracle
     ``functions.sqlgen.hll_role_union_sql`` (per-pair register rebuild

@@ -6,6 +6,10 @@ Every sketch is a *mergeable summary*:
 - ``merge(other) -> self`` — in-place merge of a same-parameter sketch
   (addition for CMS, register-max for HLL, bitwise-or for Bloom,
   centroid/compactor merge for t-digest/KLL, counter merge for top-k)
+- ``Sketch.fold(sketches)`` — a NEW sketch equal, byte for byte, to the
+  left fold ``copy(s1).merge(s2).merge(s3)…``; no argument is changed
+  or shares an array with the result (Space-Saving folds every operand
+  in one pass, see ``sketches.topk``)
 - ``estimate(...)`` — the query (point count, cardinality, membership,
   quantile, heavy hitters)
 - ``to_bytes() / from_bytes()`` — fixed-layout binary so sketch state is
@@ -23,7 +27,7 @@ bit-identical — this is inherent to compacting quantile summaries.
 from __future__ import annotations
 
 import struct
-from typing import ClassVar
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -57,6 +61,34 @@ class Sketch:
         raise NotImplementedError
 
     # --- shared ------------------------------------------------------
+    @classmethod
+    def fold(cls, sketches: Iterable["Sketch"]) -> "Sketch":
+        """A new sketch equal, byte for byte, to the left fold
+        ``copy(s1).merge(s2).merge(s3)…`` of ``sketches`` (one or more of
+        one type; ``Sketch.fold`` takes any type, ``T.fold`` only ``T``).
+        No argument is changed and none shares an array with the result,
+        so read-only decoded sketches fold as they are. The operands are
+        taken one at a time where the type's fold allows it (all but
+        Space-Saving), so a generator of decodes holds one at a time."""
+        it = iter(sketches)
+        first = next(it, None)
+        if first is None:
+            raise ValueError("fold needs at least one sketch")
+        if not isinstance(first, cls):
+            raise TypeError(f"expected {cls.__name__}, found {type(first).__name__}")
+        return type(first)._fold(first, it)
+
+    @classmethod
+    def _fold(cls, first: "Sketch", rest: Iterator["Sketch"]) -> "Sketch":
+        out = first.copy()
+        for other in rest:
+            out.merge(other)
+        return out
+
+    def copy(self) -> "Sketch":
+        """An independent copy: a decode of ``to_bytes``."""
+        return Sketch.from_bytes(self.to_bytes())
+
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
         if getattr(cls, "MAGIC", b"????") != b"????":

@@ -110,6 +110,12 @@ class CountMinSketch(Sketch):
         self.total += other.total
         return self
 
+    def copy(self) -> "CountMinSketch":
+        out = CountMinSketch(width=self.width, depth=self.depth, seed=self.seed,
+                             table=self.table.copy())
+        out.total = self.total
+        return out
+
     def _payload(self) -> bytes:
         head = struct.pack("<IIqq", self.width, self.depth, self.seed, self.total)
         return head + np.ascontiguousarray(self.table).tobytes()

@@ -121,20 +121,3 @@ class HyperLogLog(Sketch):
         (p,) = struct.unpack_from("<I", payload)
         regs = np.frombuffer(payload, dtype=np.uint8, offset=4, count=1 << p).copy()
         return cls(p=p, registers=regs)
-
-
-def hll_union_estimate(a: "HyperLogLog", b: "HyperLogLog") -> float:
-    """|A ∪ B| without mutating either operand."""
-    return a.copy().merge(b).estimate()
-
-
-def hll_intersection_estimate(a: "HyperLogLog", b: "HyperLogLog") -> float:
-    """|A ∩ B| by inclusion-exclusion: |A| + |B| − |A ∪ B|.
-
-    Error grows with the size imbalance (each term carries ±1.04/√m, so
-    a small true intersection can vanish into noise) — use for
-    rule-overlap style estimates where the operands are comparable
-    (the reference's allowed∩exercised counting, A3/A11 analog), and
-    clamp at 0.
-    """
-    return max(0.0, a.estimate() + b.estimate() - hll_union_estimate(a, b))

@@ -13,10 +13,16 @@ upper-bound contribution (stored counts remain overestimates:
 > N/capacity is guaranteed present.
 
 The summary is columnar: a key array (``str``/``int`` objects) beside
-int64 ``count`` and ``err`` arrays. ``update`` and ``merge`` match keys
-with one ``pd.factorize`` over both key sets and trim to ``capacity``
-in ``(-count, str(key))`` order (an ``int`` key before the ``str`` of
-the same text).
+int64 ``count`` and ``err`` arrays. There is one combine,
+``_fold_summaries``, a k-way left fold: ``Sketch.fold`` of k sketches
+runs it over all k (a daily-store window folds its days in one call),
+``merge`` over two, and ``update`` over the sketch and the batch's
+exact counts. It matches keys with ONE ``pd.factorize`` over every
+operand's keys, however many operands, and then steps through the
+operands on int codes, each step the same pairwise combine with the
+same trim to ``capacity`` in ``(-count, str(key))`` order (an ``int``
+key before the ``str`` of the same text), so a fold's bytes equal
+those of the pairwise merges.
 
 Payload v2 (little-endian, after the ``TOPK`` magic and version byte)::
 
@@ -85,16 +91,67 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
                                            ("is_str", "ascending")]).to_numpy()
 
 
-def _head_index(keys: np.ndarray, count: np.ndarray, k: int) -> np.ndarray:
+def _head_index(count: np.ndarray, k: int, tie_order) -> np.ndarray:
     """Indices, in array order, of the ``k`` entries first in
     ``(-count, str(key))`` order: the ones above the k-th largest count,
-    then the ties at that count by key."""
+    then the ties at that count in key order. ``tie_order(idx)`` gives
+    the order of the entries ``idx`` by key."""
     n = len(count)
     cut = np.partition(count, n - k)[n - k]
     above = np.flatnonzero(count > cut)
     tied = np.flatnonzero(count == cut)
-    tied = tied[_key_order(keys[tied])[:k - len(above)]]
+    tied = tied[tie_order(tied)[:k - len(above)]]
     return np.sort(np.concatenate([above, tied]))
+
+
+def _fold_summaries(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]],
+                    capacity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The left fold of the summaries ``parts``, each ``(distinct keys,
+    count, err, min count)``, as new ``(keys, count, err)`` arrays.
+
+    Each step is the mergeable-summaries combine (Agarwal et al. 2012)
+    of the running summary with the next part: a key absent from one
+    side gets that side's min count added to its count and error (the
+    first part's own min is never used), new keys are appended in the
+    part's order, and over ``capacity`` entries the summary trims to its
+    head in ``(-count, str(key))`` order. One ``pd.factorize`` over all
+    parts' keys turns them into int codes, so a step matches keys with a
+    ``code → position`` array, and one key-order rank of the codes,
+    made at the first trim, breaks every later tie."""
+    codes, uniq = pd.factorize(np.concatenate([p[0] for p in parts]))
+    ends = np.cumsum([len(p[0]) for p in parts])
+    kept, count, err = codes[:ends[0]], parts[0][1], parts[0][2]
+    if len(parts) == 1:
+        return uniq[kept], count.copy(), err.copy()
+    pos = np.full(len(uniq), -1, dtype=np.intp)
+    rank = None
+    for (_, c, e, other_min), lo, hi in zip(parts[1:], ends[:-1], ends[1:]):
+        n = len(kept)
+        min_self = int(count.min()) if n >= capacity else 0
+        pos[kept] = np.arange(n)
+        at = pos[codes[lo:hi]]
+        pos[kept] = -1
+        hit = at >= 0
+        miss = ~hit
+        kept = np.concatenate([kept, codes[lo:hi][miss]])
+        new_count = np.empty(len(kept), dtype=np.int64)
+        new_err = np.empty(len(kept), dtype=np.int64)
+        new_count[:n] = count + other_min
+        new_err[:n] = err + other_min
+        new_count[at[hit]] += c[hit] - other_min
+        new_err[at[hit]] += e[hit] - other_min
+        new_count[n:] = c[miss] + min_self
+        new_err[n:] = e[miss] + min_self
+        if len(kept) > capacity:
+            if rank is None:
+                rank = np.empty(len(uniq), dtype=np.intp)
+                rank[_key_order(uniq)] = np.arange(len(uniq))
+            step_rank = rank[kept]
+            keep = _head_index(new_count, capacity,
+                               lambda tied: np.argsort(step_rank[tied]))
+            kept, new_count, new_err = kept[keep], new_count[keep], new_err[keep]
+        count, err = new_count, new_err
+    return uniq[kept], count, err
 
 
 class SpaceSaving(Sketch):
@@ -136,7 +193,10 @@ class SpaceSaving(Sketch):
             summed = np.zeros(len(uniq), dtype=np.int64)
             np.add.at(summed, codes, counts)
             counts = summed
-        self._combine(uniq, counts, np.zeros(len(uniq), dtype=np.int64), other_min=0)
+        self.keys, self.count, self.err = _fold_summaries(
+            [self._summary(), (uniq, counts, np.zeros(len(uniq), dtype=np.int64), 0)],
+            self.capacity)
+        self._counters = None
         self.total += int(counts.sum())
         return self
 
@@ -145,12 +205,15 @@ class SpaceSaving(Sketch):
             return 0
         return int(self.count.min())
 
+    def _summary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        return self.keys, self.count, self.err, self._min_count()
+
     # -- query ---------------------------------------------------------
     def top(self, k: int | None = None) -> list[tuple[str | int, int, int]]:
         """[(key, count_overestimate, err)] sorted by count desc, key asc."""
         n = len(self.keys)
-        idx = (_head_index(self.keys, self.count, k) if k is not None and 0 < k < n
-               else np.arange(n))
+        idx = (_head_index(self.count, k, lambda tied: _key_order(self.keys[tied]))
+               if k is not None and 0 < k < n else np.arange(n))
         idx = idx[_key_order(self.keys[idx])]
         idx = idx[np.argsort(-self.count[idx], kind="stable")][:k]
         return list(zip(self.keys[idx].tolist(), self.count[idx].tolist(),
@@ -161,36 +224,24 @@ class SpaceSaving(Sketch):
         return ent[0] if ent is not None else self._min_count()
 
     # -- merge ---------------------------------------------------------
-    def _combine(self, keys: np.ndarray, count: np.ndarray, err: np.ndarray,
-                 other_min: int) -> None:
-        """Mergeable-summaries combine (Agarwal et al. 2012) with the
-        summary ``(keys, count, err)`` of distinct keys: keys absent from
-        one side get that side's min count added to both count and
-        error (counts stay overestimates), then trim to capacity."""
-        n = len(self.keys)
-        min_self = self._min_count()
-        codes, merged = pd.factorize(np.concatenate([self.keys, keys]))
-        codes = codes[n:]
-        hit = codes < n
-        new_count = np.empty(len(merged), dtype=np.int64)
-        new_err = np.empty(len(merged), dtype=np.int64)
-        new_count[:n] = self.count + other_min
-        new_err[:n] = self.err + other_min
-        new_count[codes[hit]] += count[hit] - other_min
-        new_err[codes[hit]] += err[hit] - other_min
-        new_count[n:] = count[~hit] + min_self
-        new_err[n:] = err[~hit] + min_self
-        if len(merged) > self.capacity:
-            keep = _head_index(merged, new_count, self.capacity)
-            merged, new_count, new_err = merged[keep], new_count[keep], new_err[keep]
-        self.keys, self.count, self.err = merged, new_count, new_err
-        self._counters = None
-
     def merge(self, other: "SpaceSaving") -> "SpaceSaving":
         self._check_mergeable(other, "capacity")
-        self._combine(other.keys, other.count, other.err, other._min_count())
+        self.keys, self.count, self.err = _fold_summaries(
+            [self._summary(), other._summary()], self.capacity)
+        self._counters = None
         self.total += other.total
         return self
+
+    @classmethod
+    def _fold(cls, first: "SpaceSaving", rest) -> "SpaceSaving":
+        rest = list(rest)
+        for other in rest:
+            first._check_mergeable(other, "capacity")
+        out = cls(capacity=first.capacity)
+        out.keys, out.count, out.err = _fold_summaries(
+            [first._summary(), *(other._summary() for other in rest)], first.capacity)
+        out.total = first.total + sum(other.total for other in rest)
+        return out
 
     # -- serialize -----------------------------------------------------
     def _payload(self) -> bytes:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import threading
@@ -147,17 +148,21 @@ def read_partition(path: str, cfg_hash: str,
 
 def merge_blobs(names: Iterable[str], blobs: Iterable[bytes],
                 merged: dict[str, Sketch]) -> None:
-    """Fold serialized sketches into ``merged`` by name, in order: the
-    first blob of a name seeds it, later ones merge in. The blob-merge
-    loop of checkpoint resume and of the itemset sketch partial folds
-    (``pipelines.itemsets``); daily-store window queries merge cached
-    decodes in the same order (``state.incremental``)."""
+    """Fold serialized sketches into ``merged`` by name, in order: per
+    name, one ``Sketch.fold`` of ``merged``'s sketch (if it has one) and
+    the name's blobs, decoded as the fold takes them, so the result is
+    the left fold in which the first blob of a name seeds it and later
+    ones merge in. ``merged``'s sketches are replaced, not changed. The
+    blob fold of checkpoint resume and of the itemset sketch partial
+    folds (``pipelines.itemsets``); daily-store window queries fold
+    cached decodes in the same order (``state.incremental``)."""
+    by_name: dict[str, list[bytes]] = {}
     for name, blob in zip(names, blobs):
-        sk = Sketch.from_bytes(bytes(blob))
-        if name in merged:
-            merged[name].merge(sk)
-        else:
-            merged[name] = sk
+        by_name.setdefault(name, []).append(blob)
+    for name, group in by_name.items():
+        decodes = (Sketch.from_bytes(bytes(blob)) for blob in group)
+        merged[name] = Sketch.fold(
+            itertools.chain([merged[name]], decodes) if name in merged else decodes)
 
 
 def run_with_checkpoint(

@@ -5,7 +5,7 @@ The reference recomputes every sliding window from scratch
 its only cross-window reuse). Sketch mergeability buys the delta
 architecture the reference lacks: compute each DAY's partial sketches
 once (checkpointed with lineage like any partition), then ANY window =
-merge of its days' blobs — O(days) blob merges instead of re-reading
+one fold of its days' sketches — O(days) decodes instead of re-reading
 the corpus. A 30-day window stepped by 1 day costs one new day per
 step. Listing the store reads file names only (each carries the
 store's config hash), so a window opens exactly its own days' files.
@@ -17,9 +17,12 @@ copy (no size, mtime or hash stands in for them). Equal bytes reuse the
 cached decode; any other bytes are parsed and checked by
 ``checkpoint.read_partition`` as on a cold read, so a corrupt or stale
 file raises ``ValueError`` naming it whether or not its day was cached.
-Entries of days the listing no longer shows are dropped on every query,
-and the least recently used entries are evicted once the cached file
-and blob bytes pass ``WINDOW_CACHE_BYTES``.
+An entry holds the file's bytes and its sketches' decodes, not the
+blobs (the decodes hold what they say). Entries of days the listing no
+longer shows are dropped on every query, and the least recently used
+entries are evicted once the cached file bytes plus the decodes' array
+bytes pass ``WINDOW_CACHE_BYTES``. A window is then one ``Sketch.fold``
+per sketch name over its days' decodes, in day order.
 
 Input contract: the transcripts source is a list of
 conversation-partitioned parquet shards — no conversation spans two
@@ -62,24 +65,25 @@ from .checkpoint import (
     write_partition,
 )
 
-# bound on the file plus blob bytes a store's window cache holds; the
-# decodes take about as much again (a day of the benchmark's 20k
-# conversations is ~0.35 MB of file and blobs)
+# bound on the file bytes plus decoded array bytes a store's window
+# cache holds (a top-k's key strings count as their pointers); a day of
+# the benchmark's 20k conversations is ~0.4 MB
 WINDOW_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
 class _CachedDay:
-    """One day file's exact content, its blobs and their decodes. The
-    decodes are only ever merged INTO a fresh sketch, never handed out."""
+    """One day file's exact content and its sketches' decodes. The
+    decodes are only ever fold operands, never handed out."""
     data: bytes
     names: list[str]
-    blobs: list[bytes]
     sketches: list[Sketch]
 
     @property
     def nbytes(self) -> int:
-        return len(self.data) + sum(len(b) for b in self.blobs)
+        return len(self.data) + sum(
+            arr.nbytes for sk in self.sketches for arr in vars(sk).values()
+            if isinstance(arr, np.ndarray))
 
 
 def _day_id(day: datetime) -> int:
@@ -105,6 +109,8 @@ class DailySketchStore:
                  cms_depth: int = 4, topk_capacity: int = 4096, hll_p: int = 14,
                  max_k: int = 2, max_transaction_items: int | None = 64,
                  itemset_hash: str = "sip", conv_hash: str = "sip"):
+        from ..pipelines.itemsets import _itemset_hash_fn
+
         self.store_dir = store_dir
         self.params = {
             "cms_width": cms_width, "cms_depth": cms_depth,
@@ -120,6 +126,8 @@ class DailySketchStore:
             "topk_version": SpaceSaving.VERSION,
         }
         self.cfg = config_hash(self.params)
+        # resolved once: a support estimate hashes one itemset
+        self._hash_itemsets = _itemset_hash_fn(itemset_hash)
         self._days: OrderedDict[int, _CachedDay] = OrderedDict()  # LRU first
         self._days_bytes = 0
         self._lock = threading.Lock()
@@ -161,36 +169,33 @@ class DailySketchStore:
         return len(missing)
 
     def window_sketches(self, start: datetime, end: datetime) -> dict[str, Sketch]:
-        """Merge the daily blobs covering [start, end) into new sketches
+        """Fold the daily sketches covering [start, end) into new sketches
         that the caller owns. The listing opens no file; then each window
         day's file is read once, in day order, and its bytes are compared
         with the store's cached copy of that day (see the module
         docstring). No query skips reading or checking a file: equal
         bytes reuse the cached decode, other bytes go through
-        ``read_partition``'s checks. Each name is seeded by a fresh
-        decode of its first blob and the later days' cached decodes
-        merge in, in day order — the fold of ``checkpoint.merge_blobs``,
-        so the result is byte-identical to it."""
+        ``read_partition``'s checks. Each name is one ``Sketch.fold`` of
+        the days' decodes in day order — the fold of
+        ``checkpoint.merge_blobs``, so the result is byte-identical to
+        it."""
         if end <= start:
             raise ValueError(f"empty window [{start:%Y-%m-%d}, {end:%Y-%m-%d})")
         done = completed_partitions(self.store_dir, self.cfg)
         with self._lock:
             for pid in [pid for pid in self._days if pid not in done]:
                 self._days_bytes -= self._days.pop(pid).nbytes
-        merged: dict[str, Sketch] = {}
+        by_name: dict[str, list[Sketch]] = {}
         day = start
         while day < end:
             pid = _day_id(day)
             if pid not in done:
                 raise KeyError(f"day {day:%Y-%m-%d} not built (call ensure_days)")
             cached = self._read_day(pid, done[pid])
-            for name, blob, sk in zip(cached.names, cached.blobs, cached.sketches):
-                if name in merged:
-                    merged[name].merge(sk)
-                else:
-                    merged[name] = Sketch.from_bytes(blob)
+            for name, sk in zip(cached.names, cached.sketches):
+                by_name.setdefault(name, []).append(sk)
             day += timedelta(days=1)
-        return merged
+        return {name: Sketch.fold(sketches) for name, sketches in by_name.items()}
 
     def _read_day(self, pid: int, path: str) -> _CachedDay:
         """Day ``pid``'s file, read whole: the cached entry when its bytes
@@ -202,9 +207,8 @@ class DailySketchStore:
                 self._days.move_to_end(pid)
                 return hit
         tbl = read_partition(path, self.cfg, data=data)
-        blobs = tbl.column("blob").to_pylist()
-        day = _CachedDay(data, tbl.column("name").to_pylist(), blobs,
-                         [Sketch.from_bytes(b) for b in blobs])
+        day = _CachedDay(data, tbl.column("name").to_pylist(),
+                         [Sketch.from_bytes(b) for b in tbl.column("blob").to_pylist()])
         with self._lock:
             old = self._days.pop(pid, None)
             self._days[pid] = day
@@ -216,12 +220,10 @@ class DailySketchStore:
 
     def estimate_support(self, window_sketches: dict[str, Sketch],
                          itemset: str) -> int:
-        h = self.hash_itemsets(np.array([itemset], dtype=object))
+        h = self._hash_itemsets(np.array([itemset], dtype=object))
         return int(window_sketches["cms"].estimate_hashed(h)[0])
 
     def hash_itemsets(self, values) -> np.ndarray:
         """The store's itemset-key hash — reads MUST use the same
         family the day builds used (it is part of the config hash)."""
-        from ..pipelines.itemsets import _itemset_hash_fn
-
-        return _itemset_hash_fn(self.params["itemset_hash"])(values)
+        return self._hash_itemsets(values)

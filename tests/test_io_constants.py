@@ -1,20 +1,14 @@
-"""Small-result sink, flatten/pivot, constant-item folding."""
+"""Small-result sink, constant-item folding."""
 
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from associationabacminer_ray.pipelines.rules import (
     extract_constant_items,
     reinject_constant_items,
     rules_from_supports,
 )
-from associationabacminer_ray.sources.io import (
-    flatten_struct_columns,
-    pivot_list_of_struct,
-    write_small_result,
-)
+from associationabacminer_ray.sources.io import write_small_result
 
 
 class TestSinks:
@@ -24,30 +18,6 @@ class TestSinks:
         assert pd.read_parquet(p)["x"].tolist() == [1]
         write_small_result(pd.DataFrame({"x": [2]}), p)  # overwrite OK
         assert pd.read_parquet(p)["x"].tolist() == [2]
-
-
-class TestFlatten:
-    def test_flatten_struct_columns(self):
-        t = pa.table({
-            "a": [1, 2],
-            "s": pa.array([{"x": 1, "y": {"z": "p"}}, {"x": 2, "y": {"z": "q"}}]),
-            "lst": pa.array([[1, 2], [3]]),
-        })
-        flat = flatten_struct_columns(t)
-        assert set(flat.column_names) == {"a", "s_x", "s_y_z"}  # list dropped
-        assert flat.column("s_y_z").to_pylist() == ["p", "q"]
-
-    def test_pivot_list_of_struct(self):
-        df = pd.DataFrame({
-            "id": [1, 2],
-            "resources": [
-                [{"key": "bucket", "value": "b1"}, {"key": "table", "value": "t1"}],
-                [{"key": "bucket", "value": "b2"}],
-            ],
-        })
-        out = pivot_list_of_struct(df, "resources")
-        assert out["resources_bucket"].tolist() == ["b1", "b2"]
-        assert out["resources_table"].tolist() == ["t1", "None"]
 
 
 class TestConstantItems:

@@ -525,6 +525,44 @@ class TestDailyStoreFiles:
                 sk.merge(other[name])
             assert _window_bytes(store.window_sketches(*w)) == want
 
+    def test_cache_holds_decodes_not_blobs(self, tmp_path):
+        """A cached day keeps its file bytes and decodes, no blob copies,
+        and counts the decodes' array bytes. Ten days at the store's
+        default sizes, each with a full top-k (the benchmark's days hold
+        ~1.1k of its 4,096 keys), all stay cached under the bound."""
+        import dataclasses
+
+        from associationabacminer_ray.sketches import CountMinSketch, HyperLogLog, SpaceSaving
+        from associationabacminer_ray.state import incremental
+        from associationabacminer_ray.state.checkpoint import write_partition
+
+        store = incremental.DailySketchStore(str(tmp_path / "daily"))
+        p = store.params
+        rng = np.random.default_rng(0)
+        for d in range(10):
+            keys = np.array([f"tool=t{d}_{j}|tool=u{j % 97}" for j in range(6000)], dtype=object)
+            h = hash_strings(keys)
+            counts = rng.integers(1, 50, len(keys))
+            sketches = {
+                "cms": CountMinSketch(p["cms_width"], p["cms_depth"]).update_hashed(h, counts),
+                "topk": SpaceSaving(p["topk_capacity"]).update(keys.tolist(), counts),
+                "hll": HyperLogLog(p["hll_p"]).update_hashed(h)}
+            write_partition(store.store_dir, (datetime(2024, 1, 1) + timedelta(days=d)).toordinal(),
+                            sketches, ["fake"], 0, store.cfg)
+        store.window_sketches(datetime(2024, 1, 1), datetime(2024, 1, 11))
+        assert [f.name for f in dataclasses.fields(incremental._CachedDay)] == [
+            "data", "names", "sketches"]
+        assert len(store._days) == 10
+        for day in store._days.values():
+            topk = day.sketches[day.names.index("topk")]
+            assert len(topk.keys) == p["topk_capacity"]
+            arrays = sum(a.nbytes for sk in day.sketches for a in vars(sk).values()
+                         if isinstance(a, np.ndarray))
+            assert day.nbytes == len(day.data) + arrays
+            assert arrays > 8 * p["cms_width"] * p["cms_depth"]
+        assert store._days_bytes == sum(d.nbytes for d in store._days.values())
+        assert store._days_bytes <= incremental.WINDOW_CACHE_BYTES
+
     @pytest.mark.parametrize("cached_days", [None, 4])
     def test_concurrent_windows_equal_sequential(self, tmp_path, monkeypatch, cached_days):
         import sys

@@ -30,14 +30,6 @@ TEST_ONLY_KEEP = {
         "bit-for-bit reference for CategoricalItemSketchUpdater",
     ("stages.multimodal", "encode_bmp"):
         "round-trip partner that decode_bmp's tests need",
-    ("stages.normalize", "NormalizeTurns"):
-        "reference counterpart of the reference miner's turn normaliser",
-    ("stages.anonymize", "KeyedHashAnonymizer"):
-        "reference counterpart of the reference miner's event anonymiser",
-    ("sources.io", "flatten_struct_columns"):
-        "reference counterpart of the reference miner's event flattener",
-    ("sources.io", "pivot_list_of_struct"):
-        "reference counterpart of the reference miner's resource flattener",
     ("pipelines.evaluate", "rbac_policy"):
         "reference counterpart of the reference miner's RBAC baseline",
     ("pipelines.evaluate", "merge_policy"):
@@ -46,8 +38,6 @@ TEST_ONLY_KEEP = {
         "reference counterpart of the reference miner's ROC table",
     ("pipelines.evaluate", "auc_points"):
         "reference counterpart of the reference miner's AUC points",
-    ("sketches.hll", "hll_intersection_estimate"):
-        "inclusion-exclusion HLL intersection, kept with its bound test",
     ("pipelines.text_pipelines", "minhash_near_dups"):
         "natural-pair near-dup search; its tests check recall of "
         "unplanted pairs, which q_minhash_dups filters out",

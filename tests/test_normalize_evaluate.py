@@ -1,6 +1,6 @@
-"""Normalizer (M2), policy evaluation (A12), RBAC (A14), rule merge,
-score aggregation (A13), AUC (A20), anonymizer (M8) — plus the
-per-turn text-equality invariant (BASELINE.md)."""
+"""Policy evaluation (A12), RBAC (A14), rule merge, score aggregation
+(A13), AUC (A20) — plus the per-turn text-equality invariant
+(BASELINE.md) over the transcript path's turn normaliser."""
 
 import numpy as np
 import pandas as pd
@@ -15,34 +15,12 @@ from associationabacminer_ray.pipelines.evaluate import (
     score_policy,
 )
 from associationabacminer_ray.sources.transcripts import synth_transcripts
-from associationabacminer_ray.stages.anonymize import KeyedHashAnonymizer
-from associationabacminer_ray.stages.normalize import NormalizeTurns
+from associationabacminer_ray.stages.transactionize import make_items
 
 
 class TestNormalizer:
-    def test_derived_columns(self):
-        df = pd.DataFrame({
-            "conv_id": ["c1"] * 4,
-            "turn_idx": np.arange(4, dtype=np.int32),
-            "role": ["user", "", None, "tool"],
-            "text": ["hi", "", "x" * 600, None],
-            "tool": ["tool_03", None, "", "query_db_fast"],
-            "ts": pd.to_datetime(["2024-01-06 03:00", "2024-01-08 12:30",
-                                  "2024-01-09 23:59", "2024-01-10 08:00"]),
-        })
-        out = NormalizeTurns()(df)
-        assert out["weekday"].tolist() == [5, 0, 1, 2]
-        assert out["is_weekend"].tolist() == [True, False, False, False]
-        assert out["hour_bin"].tolist() == ["h00-04", "h12-16", "h20-24", "h08-12"]
-        assert out["role"].tolist() == ["user", "NONE", "NONE", "tool"]
-        assert out["tool"].tolist() == ["tool_03", "NONE", "NONE", "query_db_fast"]
-        assert out["tool_bin"].tolist() == ["tool_03", "NONE", "NONE", "query_db"]
-        assert out["tool_bin2"].tolist() == ["tool", "none", "none", "query"]
-        assert out["action_class"].tolist() == ["other", "other", "other", "read"]
-        assert out["item"].tolist() == ["user=tool_03", "NONE=NONE", "NONE=NONE",
-                                        "tool=query_db_fast"]
-        assert out["is_long_text"].tolist() == [False, False, True, False]
-        assert out["is_empty_text"].tolist() == [False, True, False, True]
+    """The transcript path's turn normaliser is ``make_items`` (NONE
+    fill, ``role=tool`` item)."""
 
     def test_per_turn_text_equality_invariant(self, ray_session):
         """Row-preserving pipelines keep text bit-identical under stable
@@ -50,7 +28,7 @@ class TestNormalizer:
         import ray.data as rd
 
         tbl = synth_transcripts(500, seed=7)
-        ds = rd.from_arrow(tbl).map_batches(NormalizeTurns(), batch_format="pandas")
+        ds = rd.from_arrow(tbl).map_batches(make_items, batch_format="pandas")
         got = (ds.to_pandas().sort_values(["conv_id", "turn_idx"])
                .reset_index(drop=True))
         want = (tbl.to_pandas().sort_values(["conv_id", "turn_idx"])
@@ -141,15 +119,3 @@ class TestScoresAndAuc:
         assert auc_points(perfect) == pytest.approx(1.0)
         diagonal = pd.DataFrame({"fpr": [0.25, 0.5, 0.75], "tpr": [0.25, 0.5, 0.75]})
         assert auc_points(diagonal) == pytest.approx(0.5)
-
-
-class TestAnonymizer:
-    def test_keyed_hash_consistent_and_secret_dependent(self):
-        df = pd.DataFrame({"conv_id": ["u1", "u2", "u1"], "text": ["a", "b", "c"]})
-        a1 = KeyedHashAnonymizer(["conv_id"])(df)
-        a2 = KeyedHashAnonymizer(["conv_id"])(df)
-        assert a1["conv_id"].tolist() == a2["conv_id"].tolist()
-        assert a1.loc[0, "conv_id"] == a1.loc[2, "conv_id"] != a1.loc[1, "conv_id"]
-        assert a1["text"].equals(df["text"])  # untouched columns preserved
-        b = KeyedHashAnonymizer(["conv_id"], secret=99)(df)
-        assert b.loc[0, "conv_id"] != a1.loc[0, "conv_id"]

@@ -65,6 +65,36 @@ class TestHashing:
         # SplitMix64(0) first output (Vigna reference): 0xE220A8397B1DCDAF
         assert int(splitmix64(np.array([0], dtype=np.uint64))[0]) == 0xE220A8397B1DCDAF
 
+    @pytest.mark.parametrize("shape", [(), (5,), (4, 3)])
+    def test_splitmix_equals_python_ints(self, shape):
+        """Bit-identical to the finalizer in Python ints (mod 2**64) for
+        0-d, 1-d and 2-d input, with no overflow warning; a 0-d input
+        gives a NumPy scalar, and the input is left as it was."""
+        import warnings
+
+        mask = (1 << 64) - 1
+
+        def ref(v):
+            z = (v + 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64, endpoint=False)
+        x.flat[0] = mask  # the wrap-around edge
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = splitmix64(x)
+        assert np.array_equal(x, before)
+        if shape == ():
+            assert isinstance(got, np.uint64)
+        else:
+            assert got.shape == shape and got.dtype == np.uint64
+        want = [ref(int(v)) for v in np.ravel(x)]
+        assert [int(v) for v in np.ravel(got)] == want
+
     def test_combine_order_sensitive(self):
         a = hash_ints(np.array([1]))
         b = hash_ints(np.array([2]))
@@ -276,15 +306,156 @@ class TestSpaceSaving:
     lambda keys: SpaceSaving(capacity=4).update(keys),  # the merge trims
 ], ids=["cms", "hll", "topk", "topk_trimming"])
 def test_merge_leaves_its_argument_unchanged(make):
-    """A merge only reads its argument, also one decoded from bytes (the
-    daily store's window cache merges its cached decodes into new
-    sketches and relies on this)."""
+    """A merge or a fold only reads its arguments, also ones decoded
+    from bytes, whose arrays may be read-only (the daily store's window
+    cache folds its cached decodes into new sketches and relies on
+    this); a fold's result shares no array with an argument and is
+    writable."""
     a = make([f"a{i % 7}" for i in range(40)] + ["shared"] * 5)
     b = make([f"b{i % 5}" for i in range(30)] + ["shared"] * 3)
     for arg in (b, Sketch.from_bytes(b.to_bytes())):
         before = arg.to_bytes()
         a.merge(arg)
         assert arg.to_bytes() == before
+    c = make([f"c{i % 3}" for i in range(20)] + ["shared"] * 9)
+    for args in ([a, b, c], [Sketch.from_bytes(s.to_bytes()) for s in (a, b, c)]):
+        before = [s.to_bytes() for s in args]
+        for n in (1, 3):
+            out = Sketch.fold(args[:n])
+            assert [s.to_bytes() for s in args] == before
+            assert all(out is not s for s in args)
+            for arr in (v for v in vars(out).values() if isinstance(v, np.ndarray)):
+                assert arr.flags.writeable
+                assert not any(np.shares_memory(arr, v) for s in args
+                               for v in vars(s).values() if isinstance(v, np.ndarray))
+        # the result is the caller's: merging into it leaves the arguments
+        Sketch.fold(args).merge(args[0])
+        assert [s.to_bytes() for s in args] == before
+
+
+def _pairwise(sketches):
+    """The left fold ``copy(s1).merge(s2).merge(s3)…`` by pairwise merges."""
+    out = Sketch.from_bytes(sketches[0].to_bytes())
+    for sk in sketches[1:]:
+        out.merge(sk)
+    return out
+
+
+def _topk_parts(capacity, n_parts, seed, mixed=False):
+    """``n_parts`` Space-Saving sketches of Zipf keys over a shared
+    vocabulary (many tied counts); with ``mixed`` every third key is an
+    ``int`` and the ``str`` of the same text occurs too."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(n_parts):
+        ranks = rng.zipf(1.3, size=3000) % 2000
+        keys = [int(r) if mixed and r % 3 == 0 and rng.random() < 0.5 else str(r)
+                for r in ranks.tolist()]
+        parts.append(SpaceSaving(capacity=capacity).update(keys))
+    return parts
+
+
+class TestFold:
+    """``Sketch.fold`` equals, byte for byte, the pairwise left fold."""
+
+    def test_cms_and_hll(self):
+        rng = np.random.default_rng(5)
+        for make in (lambda: CountMinSketch(width=128, depth=3),
+                     lambda: HyperLogLog(p=8)):
+            parts = [make().update_hashed(hash_ints(rng.integers(0, 500, 400)))
+                     for _ in range(6)]
+            decoded = [Sketch.from_bytes(s.to_bytes()) for s in parts]
+            for sks in (parts, decoded, parts[::-1], parts[:1]):
+                assert Sketch.fold(sks).to_bytes() == _pairwise(sks).to_bytes()
+            # the operands may come one at a time
+            assert Sketch.fold(iter(decoded)).to_bytes() == _pairwise(parts).to_bytes()
+
+    @pytest.mark.parametrize("capacity", [16, 64, 512, 4096])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["str", "int_and_str"])
+    def test_topk_equals_pairwise(self, capacity, mixed):
+        parts = _topk_parts(capacity, 7, seed=capacity, mixed=mixed)
+        distinct = len(pd.unique(np.concatenate([s.keys for s in parts])))
+        assert (distinct > capacity) == (capacity < 4096)  # which folds trim
+        for sks in (parts, parts[::-1], [SpaceSaving(capacity)] + parts, parts[:1],
+                    [Sketch.from_bytes(s.to_bytes()) for s in parts]):
+            got, want = Sketch.fold(sks), _pairwise(sks)
+            assert got.to_bytes() == want.to_bytes()
+            assert got.counters == want.counters and got.total == want.total
+            assert SpaceSaving.fold(sks).to_bytes() == want.to_bytes()
+
+    def test_topk_ties_at_the_cut_and_equal_text(self):
+        """Every count ties, so the cut is decided by key order alone:
+        ``str(key)``, an ``int`` before the ``str`` of the same text."""
+        parts = [SpaceSaving(capacity=5).update(keys) for keys in (
+            ["3", 3, "b", "a"], [10, "10", "a", 3], ["c", "3", 2, "2"], [1, "1", "b"])]
+        got = Sketch.fold(parts)
+        assert got.to_bytes() == _pairwise(parts).to_bytes()
+        assert len(got.keys) == 5 and got.total == 15
+        assert len({(type(k), str(k)) for k in got.keys.tolist()}) == 5
+
+    def test_type_and_parameter_checks(self):
+        with pytest.raises(ValueError):
+            Sketch.fold([])
+        with pytest.raises(TypeError):
+            Sketch.fold([HyperLogLog(p=6), CountMinSketch(width=8, depth=2)])
+        with pytest.raises(TypeError):
+            SpaceSaving.fold([HyperLogLog(p=6)])
+        with pytest.raises(ValueError):
+            Sketch.fold([SpaceSaving(8), SpaceSaving(16)])
+        with pytest.raises(ValueError):
+            Sketch.fold([HyperLogLog(p=6), HyperLogLog(p=7)])
+
+
+class _Rows:
+    """Stand-in for a Dataset of partial rows: all the merge calls is
+    ``take_all``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def take_all(self):
+        return list(self.rows)
+
+
+@pytest.mark.parametrize("capacity", [16, 4096])
+@pytest.mark.parametrize("n_days", [None, 3])
+def test_merge_itemset_sketch_partials_equals_merge_blobs_in_part_order(capacity, n_days):
+    """The itemset partial merge is the ``merge_blobs`` fold of each
+    day's rows in part order, which is the pairwise left fold; rows may
+    arrive in any order and a day without rows gets zero-state sketches."""
+    from associationabacminer_ray.pipelines import itemsets as P
+    from associationabacminer_ray.state.checkpoint import merge_blobs
+
+    sizes = dict(cms_width=64, cms_depth=3, topk_capacity=capacity, hll_p=8)
+    rng = np.random.default_rng(capacity)
+    rows = []
+    for day in range(1 if n_days is None else n_days - 1):  # the last day is empty
+        for part in range(6):
+            counts = pd.Series(rng.zipf(1.4, size=800) % 300).astype(str).value_counts()
+            partial = pd.DataFrame({"itemset": counts.index.to_numpy(dtype=object),
+                                    "count": counts.to_numpy(np.int64)})
+            convs = hash_ints(rng.integers(0, 10_000, 50))
+            for row in P.itemset_sketch_partial(partial, convs, 50, sizes).to_dict("records"):
+                rows.append({**row, "part": part, **({} if n_days is None else {"day": day})})
+    shuffled = [rows[i] for i in rng.permutation(len(rows))]
+    got = P.merge_itemset_sketch_partials(_Rows(shuffled), sizes, n_days)
+    for day, res in enumerate([got] if n_days is None else got):
+        day_rows = [r for r in rows if r.get("day", 0) == day]
+        assert res["n_transactions"] == 50 * len(day_rows) // 3
+        if not day_rows:
+            assert res["topk"].to_bytes() == SpaceSaving(capacity).to_bytes()
+            assert res["cms"].to_bytes() == CountMinSketch(width=64, depth=3).to_bytes()
+            assert res["hll"].to_bytes() == HyperLogLog(p=8).to_bytes()
+            continue
+        want: dict = {}
+        merge_blobs([r["name"] for r in day_rows], [r["blob"] for r in day_rows], want)
+        for name in P.SKETCH_NAMES:
+            pairwise = _pairwise([Sketch.from_bytes(r["blob"]) for r in day_rows
+                                  if r["name"] == name])
+            assert res[name].to_bytes() == want[name].to_bytes() == pairwise.to_bytes()
+        assert res["topk"].counters == want["topk"].counters
+    if capacity == 16:
+        assert len((got if n_days is None else got[0])["topk"].keys) == 16  # it trimmed
 
 
 # ---------------------------------------------------------------- quantiles
@@ -347,26 +518,6 @@ class TestQuantileSketches:
         back = sketch_from_bytes(sk.to_bytes())
         for q in QS:
             assert back.quantile(q) == pytest.approx(sk.quantile(q), abs=1e-12)
-
-
-# ---------------------------------------------------------------- HLL set algebra
-def test_hll_intersection_estimate():
-    from associationabacminer_ray.sketches.hll import (
-        hll_intersection_estimate,
-        hll_union_estimate,
-    )
-
-    a = HyperLogLog(p=14).update_hashed(hash_ints(np.arange(0, 60_000)))
-    b = HyperLogLog(p=14).update_hashed(hash_ints(np.arange(40_000, 100_000)))
-    a_bytes = a.to_bytes()
-    union = hll_union_estimate(a, b)
-    inter = hll_intersection_estimate(a, b)
-    assert a.to_bytes() == a_bytes  # operands not mutated
-    assert abs(union - 100_000) <= 4 * a.relative_error * 100_000
-    assert abs(inter - 20_000) <= 3 * 4 * a.relative_error * 100_000
-    # disjoint sets → ~0 (clamped)
-    c = HyperLogLog(p=14).update_hashed(hash_ints(np.arange(200_000, 210_000)))
-    assert hll_intersection_estimate(a, c) <= 4 * a.relative_error * 70_000 + 100
 
 
 # ---------------------------------------------------------------- theta/KMV
