@@ -20,7 +20,7 @@ greedy rule selection, windowed mining + scoring; see SURVEY.md) as
   reference's rule-score family, window generators.
 - ``pipelines/`` end-to-end pipelines (itemset mining, rule scoring,
   greedy cover, analytics, text, ANN).
-- ``state/``     checkpoint/lineage + resume, the Bloom broadcast stage.
+- ``state/``     checkpoint/lineage + resume, the per-day sketch store.
 
 Nothing in this package calls ``ray.init()`` — sessions are owned by the
 caller (tests' conftest fixture, bench.py, or the verification driver).

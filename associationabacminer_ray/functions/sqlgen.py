@@ -789,11 +789,10 @@ def greedy_policy_sql(max_rounds: int = 10, coverage_target: float = 0.9,
     REMAINING count, exactly like ``greedy_cover_ray`` passing
     ``uncovered`` into ``rules_from_supports``.
 
-    One stated assumption: the engine removes covered conversations
-    through a 2²⁴-bit Bloom filter whose false positives would
-    over-remove; at gate scale (≲10³ conversations, ~10 set bits per
-    round) the FP probability is ≈ 0 and the gate's row/value equality
-    at both sf levels is the empirical witness that none fired."""
+    Both sides remove covered conversations exactly: the engine drops
+    every conversation whose items hold the picked rule's full itemset,
+    and the CTE sets exactly those conversations' bits, so the two
+    share one removal semantics and no assumption is left."""
     nb = max_convs
     return f"""
 WITH RECURSIVE

@@ -5,7 +5,7 @@
   obs-window transcripts (predicate-pushdown read)
     → itemset supports (exact bucketed pipeline, or sketch mode)
     → scored association rules (score family)
-    → greedy cover policy (driver rounds, Bloom covered-filter)
+    → greedy cover policy (driver rounds, exact covered removal)
 
 ``mine_windows`` is the driver loop over sliding windows — the job-queue
 replacement (``src/job/job_executor.py:62-91``): windows are
@@ -49,10 +49,11 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
         n_tx = 0  # the sketch result carries its own transaction count
     elif greedy:
         # greedy rounds run on the transactions DATASET — the distributed
-        # greedy_cover_ray engine (per-round Bloom-broadcast anti-join, one
-        # fixed-size blob to the driver per round) replaces the former
-        # driver-side to_pandas() materialization (VERDICT r2 #1). The
-        # pandas greedy_cover stays as the small-scale parity oracle.
+        # greedy_cover_ray engine (per-round supports, then one filter
+        # pass dropping the conversations the picked rule covers)
+        # replaces the former driver-side to_pandas() materialization
+        # (VERDICT r2 #1). The pandas greedy_cover stays as the
+        # small-scale parity oracle.
         tx = transactions(ds, num_buckets=num_buckets).materialize()
         n_tx = tx.count()
     else:
@@ -64,8 +65,7 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
     if greedy:
         # mode passes through: mode="sketch" runs the blob-only per-round
         # sketch exchange instead of silently degrading to exact (ADVICE r2)
-        policy = greedy_cover_ray(tx, n_transactions=n_tx, metric=metric,
-                                  max_rounds=max_rounds,
+        policy = greedy_cover_ray(tx, metric=metric, max_rounds=max_rounds,
                                   min_support=min_support, max_k=max_k,
                                   beta=beta, mode=mode)
         rules = policy

@@ -9,12 +9,11 @@ antecedent ⊂ itemset with the remainder as consequent; scores come from
 Greedy cover mirrors ``EnvFlatAbacRuleMiner.mine_rules_for_window``
 (``src/EnvAbacRuleMiner.py:133-232``): rounds are inherently sequential
 driver iterations; within a round, support counting is the fully
-data-parallel bucketed pipeline. Covered conversations are removed via a
-**Bloom filter** broadcast into ``map_batches`` (the sketch replacement
-for the reference's per-round ES ``delete_by_query`` anti-join,
-``src/EnvAbacRuleMiner.py:268-272``) — false positives can only
-*over*-remove, mirroring the reference's monotone shrinkage; exact mode
-uses the materialized conv-id set when it fits.
+data-parallel bucketed pipeline. Covered conversations are those whose
+transaction holds a selected rule's full itemset; each round drops them
+with one filter pass on that exact match (the reference's per-round ES
+``delete_by_query``, ``src/EnvAbacRuleMiner.py:268-272``; SURVEY.md J2
+``ds.filter(~pred)``), so coverage is exact in every mode.
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ import itertools
 import numpy as np
 import pandas as pd
 
-from ..functions.hashing import hash_any, hash_strings
+from ..functions.hashing import hash_strings
 from ..functions.scoring import MINIMIZED_METRICS, score_columns
-from ..sketches import BloomFilter
 from ..stages.transactionize import ITEM_SEP
 
-# greedy_cover_ray: covered-conversation Bloom size
-GREEDY_BLOOM_BITS = 1 << 24
 # rules_from_supports: most items a rule's consequent holds
 MAX_CONSEQUENT = 1
 
@@ -231,47 +227,30 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     return df.astype({"k": "int32", "support": np.int64})
 
 
-def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
-                     metric: str = "cscore", max_rounds: int = 20,
-                     coverage_target: float = 0.95, min_support: int = 2,
-                     max_k: int = 2, beta: float = 1.0,
+def greedy_cover_ray(transactions_ds, metric: str = "cscore",
+                     max_rounds: int = 20, coverage_target: float = 0.95,
+                     min_support: int = 2, max_k: int = 2, beta: float = 1.0,
                      mode: str = "exact") -> pd.DataFrame:
     """Distributed greedy cover over a (conv_id, items) transactions
     Dataset (SURVEY.md §7.4 "greedy set-cover is inherently sequential").
 
     Rounds are driver iterations; within a round everything is
-    data-parallel: the covered-conversation Bloom filter is broadcast
-    (``ray.put``) and applied inside ``map_batches`` (anti-join J2 — no
-    per-round shuffle of the corpus), supports are partial-counted per
-    batch and merged through the small bucketed sum. Bloom false
-    positives can only over-remove (monotone shrinkage, like the
-    reference's delete_by_query). The transactions Dataset is
-    materialized once so each round re-reads object-store blocks, not
-    parquet.
+    data-parallel: supports are partial-counted per batch and merged
+    through the small bucketed sum (or, with ``mode="sketch"``, folded
+    from fixed-size sketch blobs). The selected rule's match then drops
+    the conversations it covers in one ``map_batches`` pass (anti-join
+    J2, no shuffle of the corpus) whose materialized result is the next
+    round's corpus; its row count, which is block metadata, gives the
+    round's newly covered count. The input is materialized once, so no
+    round re-reads parquet.
     """
-    import ray
-
-
-    from ..state.broadcast import bloom_filter_stage
     from .itemsets import MERGE_BUCKETS, merge_exact_itemset_partials
 
-    tx = transactions_ds.materialize()
-    if n_transactions is None:
-        n_transactions = tx.count()
-    covered = BloomFilter(num_bits=GREEDY_BLOOM_BITS)
-    have_covered = False
+    cur = transactions_ds.materialize()
+    n_transactions = uncovered = cur.count()
     selected: list[dict] = []
 
     for rnd in range(max_rounds):
-        cur = tx
-        if have_covered:
-            # materialize the filtered corpus once per round: three
-            # downstream actions (count, supports, matched-hashes) would
-            # otherwise each re-run the Bloom scan over every block
-            cur = cur.map_batches(
-                bloom_filter_stage(ray.put(covered), "conv_id"),
-                batch_format="pandas").materialize()
-        uncovered = cur.count()
         if uncovered == 0 or 1 - uncovered / n_transactions >= coverage_target:
             break
         if mode == "sketch":
@@ -291,31 +270,11 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
         top = best_rule(rules, metric)
         rule_items = sorted(top["antecedent"].split(ITEM_SEP)
                             + top["consequent"].split(ITEM_SEP))
-
-        def matched_hashes(batch: pd.DataFrame) -> pd.DataFrame:
-            m = _matches_rule(batch["items"].reset_index(drop=True), rule_items)
-            # hash_any, matching bloom_filter_stage's probe side — using a
-            # different hash family here would make the filter never match
-            return pd.DataFrame(
-                {"h": hash_any(batch["conv_id"].reset_index(drop=True)[m])})
-
-        # per-partition Bloom partials OR-merged by the BloomAgg UDAF
-        # (tree merge) — the driver receives ONE fixed-size blob per
-        # round, never the matched-hash stream (VERDICT r1 #3). BloomAgg
-        # geometry must equal `covered`'s so the merge is bit-compatible.
-        from ray.data.aggregate import Count
-
-        from ..udaf import BloomAgg
-
-        agg = cur.map_batches(matched_hashes, batch_format="pandas").aggregate(
-            BloomAgg("h", num_bits=covered.num_bits,
-                     num_hashes=covered.num_hashes, seed=covered.seed,
-                     alias="bloom"),
-            Count(alias_name="n"))
-        newly = int(agg["n"]) if agg and agg.get("n") is not None else 0
-        if newly:
-            covered = covered.merge(BloomFilter.from_bytes(agg["bloom"]))
-            have_covered = True
+        cur = cur.map_batches(
+            lambda b: b[~_matches_rule(b["items"].reset_index(drop=True),
+                                       rule_items)],
+            batch_format="pandas").materialize()
+        newly = uncovered - cur.count()
         selected.append({
             "round": rnd,
             "antecedent": top["antecedent"],
@@ -325,39 +284,33 @@ def greedy_cover_ray(transactions_ds, n_transactions: int | None = None,
             "covered_this_round": int(newly),
             "uncovered_before": int(uncovered),
         })
+        uncovered -= newly
         if newly == 0:
+            # sketch mode can pick a rule no remaining conversation holds
             break
     return pd.DataFrame(selected)
 
 
-def greedy_cover(transactions_df: pd.DataFrame, n_transactions: int | None = None,
-                 metric: str = "cscore", max_rounds: int = 20,
-                 coverage_target: float = 0.95, min_support: int = 2,
-                 max_k: int = 2, beta: float = 1.0,
-                 use_bloom: bool = True, bloom_bits: int = 1 << 22) -> pd.DataFrame:
+def greedy_cover(transactions_df: pd.DataFrame, metric: str = "cscore",
+                 max_rounds: int = 20, coverage_target: float = 0.95,
+                 min_support: int = 2, max_k: int = 2,
+                 beta: float = 1.0) -> pd.DataFrame:
     """Greedy rule selection over a (conv_id, items) transactions table.
 
     Each round: count itemset supports over *uncovered* transactions,
-    score candidate rules, select the best, mark every conversation
-    matching the rule's full itemset as covered. Returns the selected
-    policy with per-round coverage stats.
+    score candidate rules, select the best, drop every conversation
+    matching the rule's full itemset. Returns the selected policy with
+    per-round coverage stats.
 
-    Driver-side variant for window-scale data (the reference mines one
-    30-day window at a time); `pipelines.mining.mine_window` wires the
-    distributed support counting per round.
+    Driver-side pandas twin of ``greedy_cover_ray`` in exact mode, with
+    the same removal semantics; tests use it as the parity oracle.
     """
     from collections import Counter
 
-    covered = BloomFilter(num_bits=bloom_bits) if use_bloom else None
-    have_covered = False
-    df = transactions_df.copy()
-    if n_transactions is None:
-        n_transactions = len(df)
+    df = transactions_df
+    n_transactions = len(df)
     selected: list[dict] = []
     for rnd in range(max_rounds):
-        if covered is not None and have_covered:
-            conv_h = hash_strings(df["conv_id"])
-            df = df[~covered.contains_hashed(conv_h)]
         uncovered = len(df)
         if uncovered == 0 or 1 - uncovered / n_transactions >= coverage_target:
             break
@@ -381,13 +334,7 @@ def greedy_cover(transactions_df: pd.DataFrame, n_transactions: int | None = Non
         rule_items = (top["antecedent"].split(ITEM_SEP)
                       + top["consequent"].split(ITEM_SEP))
         m = _matches_rule(df["items"], sorted(rule_items))
-        newly = df.loc[m, "conv_id"]
-        if covered is not None:
-            if len(newly):
-                covered.add_hashed(hash_strings(newly))
-                have_covered = True
-        else:
-            df = df[~m]
+        df = df[~m]
         selected.append(
             {
                 "round": rnd,
@@ -399,6 +346,4 @@ def greedy_cover(transactions_df: pd.DataFrame, n_transactions: int | None = Non
                 "uncovered_before": uncovered,
             }
         )
-        if covered is None and len(df) == 0:
-            break
     return pd.DataFrame(selected)

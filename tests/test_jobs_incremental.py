@@ -34,7 +34,7 @@ class TestGreedyCoverRay:
         tx_ds = transactions(rd.read_parquet(corpus), num_buckets=8)
         tx_df = tx_ds.to_pandas()
         want = greedy_cover(tx_df, metric="cscore", max_rounds=4,
-                            coverage_target=0.99, min_support=2, use_bloom=True)
+                            coverage_target=0.99, min_support=2)
         got = greedy_cover_ray(tx_ds, metric="cscore", max_rounds=4,
                                coverage_target=0.99, min_support=2)
         pd.testing.assert_frame_equal(
@@ -63,6 +63,37 @@ class TestGreedyCoverRay:
             exact[["round", "antecedent", "consequent", "support_ab",
                    "covered_this_round"]],
         )
+
+    @pytest.mark.parametrize("max_k", [2, 3])
+    @pytest.mark.parametrize("engine", ["pandas", "ray_exact", "ray_sketch"])
+    def test_coverage_accounting_is_exact(self, ray_session, corpus, engine,
+                                          max_k):
+        """Each round's counts equal what the selected policy prefix
+        really covers: before round r, exactly the transactions no rule
+        of rounds < r allows are left, and a round covers the difference
+        to the next round's remainder."""
+        import ray.data as rd
+
+        from associationabacminer_ray.pipelines.evaluate import policy_allows
+        from associationabacminer_ray.pipelines.itemsets import transactions
+
+        tx_ds = transactions(rd.read_parquet(corpus), num_buckets=8).materialize()
+        tx_df = tx_ds.to_pandas()
+        kw = dict(metric="cscore", max_rounds=6, coverage_target=0.99,
+                  min_support=2, max_k=max_k)
+        if engine == "pandas":
+            policy = greedy_cover(tx_df, **kw)
+        else:
+            policy = greedy_cover_ray(tx_ds, mode=engine[len("ray_"):], **kw)
+        assert len(policy) >= 2
+        n = len(tx_df)
+        before = policy["uncovered_before"].to_numpy()
+        for r in range(len(policy)):
+            left = n - policy_allows(tx_df, policy.iloc[:r]).sum()
+            assert before[r] == left, (r, before[r], left)
+            after = (before[r + 1] if r + 1 < len(policy)
+                     else n - policy_allows(tx_df, policy.iloc[:r + 1]).sum())
+            assert policy["covered_this_round"].iloc[r] == before[r] - after
 
 
 class TestJobs:

@@ -77,21 +77,13 @@ def _toy_transactions():
 
 def test_greedy_cover_selects_and_covers():
     policy = greedy_cover(_toy_transactions(), metric="cscore", max_rounds=5,
-                          coverage_target=0.99, min_support=2, use_bloom=False)
+                          coverage_target=0.99, min_support=2)
     assert len(policy) >= 2
     # the dominant a,b rule is picked first and covers 5 conversations
     first = policy.iloc[0]
     assert {first["antecedent"], first["consequent"]} == {"a", "b"}
     assert first["covered_this_round"] == 5
     assert policy["covered_this_round"].sum() <= 10
-
-
-def test_greedy_cover_bloom_matches_exact():
-    exact = greedy_cover(_toy_transactions(), use_bloom=False, min_support=2,
-                         coverage_target=0.99)
-    bloom = greedy_cover(_toy_transactions(), use_bloom=True, min_support=2,
-                         coverage_target=0.99)
-    pd.testing.assert_frame_equal(exact, bloom)
 
 
 def test_generate_windows():
