@@ -12,7 +12,7 @@ Primitives:
   rows/seeds for CMS/Bloom from one base hash.
 - ``hash_strings`` / ``hash_any``: content hash of a string/object array
   via ``pandas.util.hash_array`` (SipHash-1-3 with a fixed key —
-  deterministic across processes), then SplitMix64-mixed with a seed.
+  deterministic across processes).
 - ``combine_hashes``: order-sensitive fold of several uint64 columns
   into one (for composite keys / itemset identity over sorted items).
 """
@@ -51,7 +51,7 @@ def mix_with_seed(h: np.ndarray, seed: int) -> np.ndarray:
     return splitmix64(np.asarray(h, dtype=np.uint64) ^ s)
 
 
-def hash_strings(values, seed: int = 0) -> np.ndarray:
+def hash_strings(values) -> np.ndarray:
     """Stable uint64 content hash of a string-like array.
 
     Accepts a pandas Series, numpy object array, list, or pyarrow
@@ -67,8 +67,6 @@ def hash_strings(values, seed: int = 0) -> np.ndarray:
         arr = arr.copy()
         arr[mask] = "\x00NULL"
     h = pd.util.hash_array(arr, categorize=False)
-    if seed:
-        return mix_with_seed(h, seed)
     return h.astype(np.uint64, copy=False)
 
 
@@ -81,13 +79,13 @@ def hash_ints(values, seed: int = 0) -> np.ndarray:
     return h
 
 
-def null_marker_hash(seed: int = 0) -> np.uint64:
+def null_marker_hash() -> np.uint64:
     """The hash of a NULL value — identical across the int and string
     paths so a value's hash never depends on its block's null pattern."""
-    return hash_strings(np.array([None], dtype=object), seed)[0]
+    return hash_strings(np.array([None], dtype=object))[0]
 
 
-def hash_any(values, seed: int = 0) -> np.ndarray:
+def hash_any(values) -> np.ndarray:
     """Dispatch: integer dtypes → hash_ints, everything else →
     hash_strings. BLOCK-INVARIANT under nulls: an Arrow integer column
     containing nulls would otherwise convert to float64 (corrupting
@@ -103,21 +101,16 @@ def hash_any(values, seed: int = 0) -> np.ndarray:
             if values.null_count:
                 mask = values.is_null().to_numpy(zero_copy_only=False)
                 filled = values.fill_null(0).to_numpy(zero_copy_only=False)
-                out = hash_ints(filled, seed)
-                out[mask] = null_marker_hash(seed)
+                out = hash_ints(filled)
+                out[mask] = null_marker_hash()
                 return out
-            return hash_ints(values.to_numpy(zero_copy_only=False), seed)
+            return hash_ints(values.to_numpy(zero_copy_only=False))
     except ImportError:  # pragma: no cover
         pass
     arr = _to_object_ndarray(values)
     if isinstance(arr, np.ndarray) and arr.dtype.kind in "iu":
-        return hash_ints(arr, seed)
-    return hash_strings(arr, seed)
-
-
-def hash_string_scalar(s: str, seed: int = 0) -> int:
-    """Scalar convenience wrapper (same function as hash_strings)."""
-    return int(hash_strings(np.array([s], dtype=object), seed)[0])
+        return hash_ints(arr)
+    return hash_strings(arr)
 
 
 def combine_hashes(*columns: np.ndarray) -> np.ndarray:

@@ -116,13 +116,12 @@ def l_dist(cov, overr) -> np.ndarray:
     return np.sqrt((1.0 - c) ** 2 + (1.0 - o) ** 2)
 
 
-def wsc(n_antecedent_items, n_consequent_items, w_antecedent: float = 1.0,
-        w_consequent: float = 1.0) -> np.ndarray:
-    """Weighted structural complexity of a rule: weighted constraint count
-    (WscCalculator.py:31-53 partitions constraints into classes; our
-    classes are antecedent vs consequent items). Policy WSC = Σ rules."""
-    return (w_antecedent * np.asarray(n_antecedent_items, dtype=np.float64)
-            + w_consequent * np.asarray(n_consequent_items, dtype=np.float64))
+def wsc(n_antecedent_items, n_consequent_items) -> np.ndarray:
+    """Structural complexity of a rule: its constraint count
+    (WscCalculator.py:31-53 weights classes of constraints; our classes,
+    antecedent and consequent items, weigh 1 each). Policy WSC = Σ rules."""
+    return (np.asarray(n_antecedent_items, dtype=np.float64)
+            + np.asarray(n_consequent_items, dtype=np.float64))
 
 
 def reference_score_family(df, n_transactions: int, beta: float = 1.0,
@@ -159,7 +158,7 @@ def reference_score_family(df, n_transactions: int, beta: float = 1.0,
     over_total = np.maximum(allowed - unique, 0.0)
     over_rate = over_total / n
     overR = 1.0 - over_rate
-    # the pluggable coverage_rate feeds the family directly (reference
+    # the coverage rate feeds the family directly (reference
     # :143-156); over_rate/l_dist stay conversation-denominated
     covR = (np.asarray(cov_override, dtype=np.float64)
             if cov_override is not None else unique / n)
@@ -189,32 +188,17 @@ def reference_score_family(df, n_transactions: int, beta: float = 1.0,
     return df
 
 
-def score_columns(df, n_transactions: int, beta: float = 1.0,
-                  coverage_denominator: str = "transactions",
-                  total_turns: int | None = None):
+def score_columns(df, n_transactions: int, beta: float = 1.0):
     """Append the full score family to a rules DataFrame having columns
     support_ab, support_a, support_b, n_antecedent, n_consequent.
 
-    ``coverage_denominator`` mirrors the reference's pluggable
-    ``coverage_rate_method`` (src/EnvAbacRuleMiner.py:182-183):
-    "transactions" (unique-logs analog, default) or "turns" (all-logs
-    analog: coverage = support_ab_turns / total_turns — requires
-    turn-tracked supports AND ``total_turns``). The switched coverage
-    feeds the WHOLE score family (the reference pipes its pluggable
-    coverage_rate straight into the harmonic/arithmetic means,
-    EnvOverassignmentCalculator.py:143-156); everything conversation-
-    denominated (confidence, lift, over_rate) stays on
-    ``n_transactions`` so units never mix.
+    Coverage is ``support_ab / n_transactions`` (the reference's
+    unique-logs ``coverage_rate_method``, src/EnvAbacRuleMiner.py:
+    182-183) and feeds the WHOLE score family, as the reference pipes
+    its coverage rate straight into the harmonic/arithmetic means
+    (EnvOverassignmentCalculator.py:143-156).
     """
-    if coverage_denominator == "turns":
-        if "support_ab_turns" not in df.columns:
-            raise ValueError("turn-weighted coverage needs support_ab_turns "
-                             "(mine with with_turn_counts=True)")
-        if total_turns is None:
-            raise ValueError("coverage_denominator='turns' needs total_turns")
-        cov = coverage_rate(df["support_ab_turns"], total_turns)
-    else:
-        cov = coverage_rate(df["support_ab"], n_transactions)
+    cov = coverage_rate(df["support_ab"], n_transactions)
     conf = confidence(df["support_ab"], df["support_a"])
     df["coverage"] = cov
     df["confidence"] = conf

@@ -50,29 +50,20 @@ def policy_allows(transactions: pd.DataFrame, rules: pd.DataFrame) -> np.ndarray
 
 
 def score_policy(opr_transactions: pd.DataFrame, rules: pd.DataFrame,
-                 universe_total: int | None = None,
-                 universe_transactions: pd.DataFrame | None = None,
-                 u_pos_override: int | None = None) -> dict:
+                 universe_transactions: pd.DataFrame | None = None) -> dict:
     """Confusion-matrix scoring of a mined policy on the operation window
     at TRANSACTION granularity (uTP/uFN count distinct item-set strings).
 
-    False positives need an allowed-universe — two sources:
-
-    - ``u_pos_override``: a caller-supplied allowed-universe DISTINCT
-      TRANSACTION count. UNIT CONTRACT: it must count the same thing
-      uTP counts (distinct transactions), or uFP = uPos − uTP mixes
-      granularities. For the reference's true EVENT-TUPLE enumeration
-      semantics (EnvPolicyEvaluator count_positives, :79-169) use
-      ``pipelines.universe.score_policy_turns_generated``, which keeps
-      every count at turn-tuple level.
-    - ``universe_transactions``: the observed obs∪opr distinct
-      transactions as a small-scale stand-in (round-1 behavior, kept as
-      the oracle-friendly variant).
-
-    Without either, uPos degenerates to uTP (precision trivially 1 at
-    pure window scale — documented). ``universe_total`` is the
-    total-possible-priv-states denominator for TN/accuracy.
-    Degenerate-case overrides mirror :231-244.
+    False positives need an allowed-universe: ``universe_transactions``
+    holds the observed obs∪opr distinct transactions, and uPos counts
+    those the policy allows; its distinct count is also the
+    total-possible-priv-states denominator for TN/accuracy. Without it,
+    uPos degenerates to uTP (precision trivially 1 at pure window scale
+    — documented). For the reference's true EVENT-TUPLE enumeration
+    semantics (EnvPolicyEvaluator count_positives, :79-169) use
+    ``pipelines.universe.score_policy_turns_generated``, which keeps
+    every count at turn-tuple level. Degenerate-case overrides mirror
+    :231-244.
     """
     n = len(opr_transactions)
     allowed = policy_allows(opr_transactions, rules)
@@ -81,17 +72,13 @@ def score_policy(opr_transactions: pd.DataFrame, rules: pd.DataFrame,
     uniq = opr_transactions.assign(_allowed=allowed).drop_duplicates("items")
     u_tp = int(uniq["_allowed"].sum())
     u_fn = int(len(uniq) - u_tp)
-    if u_pos_override is not None:
-        u_pos = int(u_pos_override)
-        default_total = max(u_pos, len(uniq))
-    elif universe_transactions is not None:
+    if universe_transactions is not None:
         universe = universe_transactions.drop_duplicates("items")
         u_pos = int(policy_allows(universe, rules).sum())
-        default_total = len(universe)
+        total = len(universe)
     else:
         u_pos = u_tp  # window-scale degeneracy: precision trivially 1
-        default_total = len(uniq)
-    total = universe_total if universe_total is not None else default_total
+        total = len(uniq)
     return _confusion_metrics(c_tp, c_fn, u_tp, u_fn, u_pos, total,
                               n_rules=int(len(rules)))
 
@@ -218,11 +205,12 @@ def merge_policy(rules: pd.DataFrame) -> pd.DataFrame:
     }).sort_values("items").reset_index(drop=True)
 
 
-def aggregate_scores(scores: pd.DataFrame, by: str = "config_hash") -> pd.DataFrame:
-    """Mean of every numeric score column per config (ScoreAggregator)."""
+def aggregate_scores(scores: pd.DataFrame) -> pd.DataFrame:
+    """Mean of every numeric score column per ``config_hash``
+    (ScoreAggregator)."""
     num_cols = [c for c in scores.columns
-                if c != by and np.issubdtype(scores[c].dtype, np.number)]
-    return scores.groupby(by, sort=True)[num_cols].mean().reset_index()
+                if c != "config_hash" and np.issubdtype(scores[c].dtype, np.number)]
+    return scores.groupby("config_hash", sort=True)[num_cols].mean().reset_index()
 
 
 def roc_table(scores: pd.DataFrame, beta_col: str = "beta", x: str = "fpr",

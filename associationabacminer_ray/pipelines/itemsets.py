@@ -33,6 +33,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ray.data import Dataset
 
@@ -49,9 +50,9 @@ from ..stages.transactionize import (
     transactions_in_bucket,
 )
 
-_EMPTY_SUPPORTS = pd.DataFrame({"itemset": pd.Series(dtype=object),
-                                "k": pd.Series(dtype="int32"),
-                                "support": pd.Series(dtype="int64")})
+# the exact supports' columns
+_SUPPORTS_SCHEMA = pa.schema([("itemset", pa.string()), ("k", pa.int32()),
+                              ("support", pa.int64())])
 
 
 def sum_by_key_bucketed(ds: Dataset, key_col: str, value_col: str,
@@ -123,15 +124,18 @@ def transactions(ds: Dataset, num_buckets: int = 64) -> Dataset:
                                  num_buckets=num_buckets)
 
 
-def distinct_count_exact(hash_ds: Dataset, num_buckets: int = 64,
-                         col: str = "h") -> int:
-    """Exact distinct over a uint64 hash Dataset: per-batch unique →
+# buckets of distinct_count_exact's shuffle of unique hashes
+DISTINCT_BUCKETS = 64
+
+
+def distinct_count_exact(hash_ds: Dataset) -> int:
+    """Exact distinct over a uint64 ``h`` hash Dataset: per-batch unique →
     bucketed per-bucket nunique → sum. Only unique hashes shuffle. THE
-    shared distinct-count kernel (conv counts, universe unions)."""
+    shared distinct-count kernel (universe unions)."""
     def uniq(b: pd.DataFrame) -> pd.DataFrame:
-        u = np.unique(b[col].to_numpy().astype(np.uint64))
-        return pd.DataFrame({"h": u,
-                             "_b": (u % np.uint64(num_buckets)).astype(np.int32)})
+        u = np.unique(b["h"].to_numpy().astype(np.uint64))
+        return pd.DataFrame({"h": u, "_b": (u % np.uint64(DISTINCT_BUCKETS))
+                             .astype(np.int32)})
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"n": [np.int64(g["h"].nunique())]})
@@ -140,18 +144,6 @@ def distinct_count_exact(hash_ds: Dataset, num_buckets: int = 64,
            .groupby("_b").map_groups(count_bucket, batch_format="pandas")
            .to_pandas())
     return int(out["n"].sum()) if len(out) else 0
-
-
-def distinct_conv_count(ds: Dataset, conv_col: str = "conv_id",
-                        num_buckets: int = 64) -> int:
-    """Exact #distinct conversations WITHOUT building transactions
-    (2.6× faster than ``transactions(ds).count()`` on the 80M-turn
-    bench window): hash the conv column, then the shared bucketed
-    distinct kernel."""
-    hashed = ds.select_columns([conv_col]).map_batches(
-        lambda b: pd.DataFrame({"h": hash_strings(b[conv_col])}),
-        batch_format="pandas")
-    return distinct_count_exact(hashed, num_buckets=num_buckets)
 
 
 # unforgeable in-band key: every real item contains '=' (make_items
@@ -165,7 +157,7 @@ def split_tx_count(supports: pd.DataFrame) -> tuple[pd.DataFrame, int]:
     place that knows the sentinel shape — callers must not re-implement
     it. Tolerates the column-less frame an empty Dataset produces."""
     if "itemset" not in supports.columns:
-        return _EMPTY_SUPPORTS.copy(), 0
+        return _SUPPORTS_SCHEMA.empty_table().to_pandas(), 0
     sent = supports["itemset"] == TX_COUNT_KEY
     n_tx = int(supports.loc[sent, "support"].sum())
     return supports[~sent], n_tx
@@ -174,31 +166,15 @@ def split_tx_count(supports: pd.DataFrame) -> tuple[pd.DataFrame, int]:
 def exact_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 2,
                            num_buckets: int = 64, min_support: int = 1,
                            max_transaction_items: int | None = 64,
-                           min_support_frac: float | None = None,
-                           itemset_limit: int | None = None,
                            include_tx_count: bool = False) -> Dataset:
     """(itemset, k, support) with support = #conversations containing the
     itemset. Exact analog of FP-growth counting at min_support.
-    ``min_support_frac`` mirrors the reference's relative ``itemset_freq``
-    knob (src/job/job_generator.py:114-136): the absolute threshold
-    becomes ``ceil(frac × n_transactions)``. ``itemset_limit`` mirrors
-    the count-threshold top-k (src/EnvAbacRuleMiner.py:234-247): keep
-    only the top-N itemsets by support (Ray-native sort + limit).
 
     ``include_tx_count=True`` rides the distinct-conversation count
     through the SAME shuffle as the supports (one sentinel row per conv
     bucket, k=0, summed like any itemset) instead of a second full
     corpus scan — the row comes back as (TX_COUNT_KEY, k=0, n_tx) and
-    is exempt from min_support/itemset_limit."""
-    if include_tx_count and itemset_limit:
-        raise ValueError("include_tx_count with itemset_limit would let "
-                         "the sentinel row consume a top-N slot")
-    if min_support_frac is not None:
-        # hash-distinct kernel: no list of conv ids ever reaches the driver
-        n_tx = distinct_conv_count(ds, conv_col=conv_col,
-                                   num_buckets=num_buckets)
-        min_support = max(min_support, int(np.ceil(min_support_frac * n_tx)))
-
+    is exempt from min_support."""
     def bucket_partials(group: pd.DataFrame) -> pd.DataFrame:
         partial = itemset_partials_in_bucket(
             group, conv_col, "item", max_k=max_k,
@@ -212,15 +188,9 @@ def exact_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int = 
                              "count": np.int64(group[conv_col].nunique(dropna=False))})
         return pd.concat([partial, n_tx], ignore_index=True)
 
-    out = merge_exact_itemset_partials(
+    return merge_exact_itemset_partials(
         _conv_bucket_partials(ds, bucket_partials, conv_col, num_buckets),
         max(8, num_buckets // 2), min_support)
-    # reference gate is `itemset_limit > 0` (src/EnvAbacRuleMiner.py:234-247):
-    # 0/None both mean "no cap"
-    if itemset_limit is not None and itemset_limit > 0:
-        out = out.sort(["support", "itemset"],
-                       descending=[True, False]).limit(itemset_limit)
-    return out
 
 
 def merge_exact_itemset_partials(partials: Dataset, num_buckets: int,
@@ -235,19 +205,22 @@ def merge_exact_itemset_partials(partials: Dataset, num_buckets: int,
     agg = sum_by_key_bucketed(
         partials, "itemset", "count", "support", num_buckets=num_buckets,
         extra_value_cols=["turn_count"] if with_turn_counts else None)
-    keep = ["itemset", "k", "support"] + (
-        ["turn_support"] if with_turn_counts else [])
+    schema = (_SUPPORTS_SCHEMA.append(pa.field("turn_support", pa.int64()))
+              if with_turn_counts else _SUPPORTS_SCHEMA)
 
-    def finish(batch: pd.DataFrame) -> pd.DataFrame:
+    # Arrow blocks out: Ray sizes a pandas block's object column with
+    # np.vectorize, which fails and logs an error on a bucket whose
+    # itemsets are all under min_support; an Arrow block's size is exact
+    def finish(batch: pd.DataFrame) -> pa.Table:
         if batch.empty or "support" not in batch.columns:
-            return _EMPTY_SUPPORTS.assign(
-                turn_support=pd.Series(dtype=np.int64))[keep]
+            return schema.empty_table()
         sentinel = batch["itemset"] == TX_COUNT_KEY
         out = batch[(batch["support"] >= min_support) | sentinel].rename(
             columns={"turn_count": "turn_support"})
         k = out["itemset"].str.count("\\" + ITEM_SEP) + 1
         out["k"] = k.where(~sentinel, 0).astype(np.int32)
-        return out[keep]
+        return pa.Table.from_pandas(out[schema.names], schema=schema,
+                                    preserve_index=False)
 
     return agg.map_batches(finish, batch_format="pandas")
 
@@ -357,8 +330,8 @@ def sketched_itemset_supports(ds: Dataset, conv_col: str = "conv_id", max_k: int
        "n_transactions": int}``.
 
     Per conv-bucket partial blobs (``part`` = bucket id) → the ordered
-    fold of ``merge_itemset_sketch_partials``. Estimate any
-    itemset's support with ``cms.estimate_one(hash_string_scalar("a|b"))``
+    fold of ``merge_itemset_sketch_partials``. Estimate itemsets'
+    supports with ``cms.estimate_hashed(hash_strings(["a|b", …]))``
     or read the heavy-hitter head from ``topk.top(k)``. ``conv_hash``
     picks the HLL conv-key family — "poly" makes the
     distinct-transaction ESTIMATE SQL-derivable (see

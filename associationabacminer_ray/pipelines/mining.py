@@ -45,9 +45,7 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
     t0 = time.perf_counter()
     ds = read_window(transcripts_path, spec, "obs",
                      columns=["conv_id", "role", "tool"])
-    if mode == "sketch" and not greedy:
-        n_tx = 0  # the sketch result carries its own transaction count
-    elif greedy:
+    if greedy:
         # greedy rounds run on the transactions DATASET — the distributed
         # greedy_cover_ray engine (per-round supports, then one filter
         # pass dropping the conversations the picked rule covers)
@@ -56,25 +54,22 @@ def mine_window(transcripts_path: str, spec: WindowSpec, mode: str = "exact",
         # small-scale parity oracle.
         tx = transactions(ds, num_buckets=num_buckets).materialize()
         n_tx = tx.count()
-    else:
-        # exact mode: n_tx rides the supports shuffle as a sentinel row
-        # (include_tx_count below) — ONE corpus scan instead of a
-        # distinct-count pass plus a supports pass (~40% of this
-        # pipeline's wall time at bench scale)
-        n_tx = None
-    if greedy:
         # mode passes through: mode="sketch" runs the blob-only per-round
         # sketch exchange instead of silently degrading to exact (ADVICE r2)
-        policy = greedy_cover_ray(tx, metric=metric, max_rounds=max_rounds,
-                                  min_support=min_support, max_k=max_k,
-                                  beta=beta, mode=mode)
-        rules = policy
+        rules = greedy_cover_ray(tx, metric=metric, max_rounds=max_rounds,
+                                 min_support=min_support, max_k=max_k,
+                                 beta=beta, mode=mode)
     else:
         if mode == "sketch":
             sk = sketched_itemset_supports(ds, max_k=max_k, num_buckets=num_buckets)
             supports = topk_supports(sk["topk"])[["itemset", "k", "support"]]
+            # the sketch result carries its own transaction count
             n_tx = sk["n_transactions"]
         else:
+            # exact mode: n_tx rides the supports shuffle as a sentinel
+            # row (include_tx_count) — ONE corpus scan instead of a
+            # distinct-count pass plus a supports pass (~40% of this
+            # pipeline's wall time at bench scale)
             supports, n_tx = split_tx_count(exact_itemset_supports(
                 ds, max_k=max_k, num_buckets=num_buckets,
                 min_support=min_support, include_tx_count=True).to_pandas())

@@ -79,9 +79,7 @@ def reinject_constant_items(rules: pd.DataFrame, constants: list[str]) -> pd.Dat
 
 
 def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
-                        min_support: int = 1, beta: float = 1.0,
-                        coverage_denominator: str = "transactions",
-                        total_turns: int | None = None) -> pd.DataFrame:
+                        min_support: int = 1, beta: float = 1.0) -> pd.DataFrame:
     """Expand a (itemset, k, support) table into scored rules.
 
     The supports table is the *post-aggregation* small side (bounded by
@@ -128,9 +126,7 @@ def rules_from_supports(supports: pd.DataFrame, n_transactions: int,
         for c in ("support_ab", "support_a", "support_b") + (
                 ("support_ab_turns",) if has_turns else ()):
             df[c] = df[c].astype(np.int64)
-        df = score_columns(df, n_transactions, beta,
-                           coverage_denominator=coverage_denominator,
-                           total_turns=total_turns)
+        df = score_columns(df, n_transactions, beta)
         df = df.sort_values(["cscore", "antecedent", "consequent"],
                             ascending=[False, True, True], kind="mergesort")
         df = df.reset_index(drop=True)
@@ -186,7 +182,6 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     head is missing so rule scoring has its antecedent supports. Counts
     are overestimates (monotone-safe for min_support pruning and for
     the greedy's shrinking cover)."""
-    from ..functions.hashing import hash_string_scalar
     from .itemsets import (
         DEFAULT_SIZES,
         itemset_sketch_partial,
@@ -210,7 +205,7 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
     # or consequent support is absent, which for max_k ≥ 3 would
     # silently lose rules whose 2-item subset fell off the head
     have = set(df["itemset"])
-    backfill = []
+    keys, ks = [], []
     for itemset in df.loc[df["k"] >= 2, "itemset"]:
         parts = itemset.split(ITEM_SEP)
         for r in range(1, len(parts)):
@@ -218,12 +213,13 @@ def _tx_sketch_supports(tx_ds, max_k: int = 2) -> pd.DataFrame:
                 key = ITEM_SEP.join(combo)
                 if key not in have:
                     have.add(key)
-                    backfill.append(
-                        (key, len(combo),
-                         sk["cms"].estimate_one(hash_string_scalar(key))))
-    if backfill:
-        df = pd.concat([df, pd.DataFrame(backfill, columns=df.columns)],
-                       ignore_index=True)
+                    keys.append(key)
+                    ks.append(len(combo))
+    if keys:
+        backfill = pd.DataFrame({
+            "itemset": keys, "k": ks,
+            "support": sk["cms"].estimate_hashed(hash_strings(keys))})
+        df = pd.concat([df, backfill], ignore_index=True)
     return df.astype({"k": "int32", "support": np.int64})
 
 

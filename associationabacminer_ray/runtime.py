@@ -15,8 +15,9 @@ import functools
 import os
 
 
-def cluster_cpus(default: int = 4) -> int:
-    """Total CPUs in the connected Ray cluster (fallback: local cores)."""
+def cluster_cpus() -> int:
+    """Total CPUs in the connected Ray cluster (fallback: local cores,
+    else 4)."""
     try:
         import ray
 
@@ -26,7 +27,7 @@ def cluster_cpus(default: int = 4) -> int:
                 return n
     except Exception:
         pass
-    return os.cpu_count() or default
+    return os.cpu_count() or 4
 
 
 @functools.lru_cache(maxsize=1)
@@ -59,15 +60,12 @@ def sf_tag(sf_dir: str) -> str:
     return os.path.basename(os.path.normpath(sf_dir))
 
 
-def auto_concurrency(cap: int | None = None) -> tuple[int, int]:
+def auto_concurrency() -> tuple[int, int]:
     """Autoscaling actor-pool size for ``map_batches(Cls, concurrency=…)``:
-    ``(1, min(cluster CPUs, cap))``. Ray grows the pool only while the
-    stage has queued blocks, so tiny inputs stay at one actor while a
-    100 TB read saturates the cluster."""
-    n = cluster_cpus()
-    if cap is not None:
-        n = min(n, cap)
-    return (1, max(1, n))
+    ``(1, cluster CPUs)``. Ray grows the pool only while the stage has
+    queued blocks, so tiny inputs stay at one actor while a 100 TB read
+    saturates the cluster."""
+    return (1, max(1, cluster_cpus()))
 
 
 def quiet_ray_empty_schema_warnings() -> None:

@@ -52,10 +52,10 @@ class CountMinSketch(Sketch):
         return float(np.exp(-self.depth))
 
     @classmethod
-    def for_error(cls, epsilon: float, delta: float, seed: int = 7) -> "CountMinSketch":
+    def for_error(cls, epsilon: float, delta: float) -> "CountMinSketch":
         width = int(np.ceil(np.e / epsilon))
         depth = int(np.ceil(np.log(1.0 / delta)))
-        return cls(width=width, depth=depth, seed=seed)
+        return cls(width=width, depth=depth)
 
     # -- updates -------------------------------------------------------
     def _indices(self, h: np.ndarray) -> np.ndarray:

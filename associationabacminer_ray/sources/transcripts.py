@@ -60,10 +60,15 @@ _VOCAB = np.array(
 )
 
 
-def synth_transcripts(n_convs: int, seed: int = 42, start: str = "2024-01-01",
-                      days: int = 40, conv_offset: int = 0) -> pa.Table:
-    """Deterministic synthetic transcripts; ``conv_offset`` shifts conv ids
-    so shards generated independently never collide."""
+# first day of the synthetic corpus's ts spread
+SYNTH_START = "2024-01-01"
+
+
+def synth_transcripts(n_convs: int, seed: int = 42, days: int = 40,
+                      conv_offset: int = 0) -> pa.Table:
+    """Deterministic synthetic transcripts starting on ``SYNTH_START``;
+    ``conv_offset`` shifts conv ids so shards generated independently
+    never collide."""
     rng = np.random.default_rng(seed + conv_offset)
     lengths = np.minimum(rng.zipf(1.5, size=n_convs), 40).astype(np.int64)
     n = int(lengths.sum())
@@ -104,7 +109,7 @@ def synth_transcripts(n_convs: int, seed: int = 42, start: str = "2024-01-01",
         text[long_mask] = [t + " " + (t + " ") * (520 // max(len(t), 1)) for t in text[long_mask]]
 
     # timestamps: conversation starts spread over `days`, monotone turns
-    base = np.datetime64(start, "us")
+    base = np.datetime64(SYNTH_START, "us")
     conv_start = rng.integers(0, days * 86_400, size=n_convs, dtype=np.int64)
     deltas = rng.integers(1, 120, size=n, dtype=np.int64)
     in_conv = np.cumsum(deltas) - np.repeat(
@@ -188,8 +193,11 @@ def _events_to_transcript_batch(batch: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def transcripts_from_events(events_path: str, with_turn_idx: bool = False,
-                            num_buckets: int = 32):
+# buckets of transcripts_from_events' conv_id shuffle (with_turn_idx)
+TURN_IDX_BUCKETS = 32
+
+
+def transcripts_from_events(events_path: str, with_turn_idx: bool = False):
     """Ray Dataset of transcript-schema rows derived from the ``events``
     table. ``with_turn_idx=True`` adds the per-conversation dense turn
     index (requires a bucketed shuffle on conv_id — skip it for
@@ -204,7 +212,8 @@ def transcripts_from_events(events_path: str, with_turn_idx: bool = False,
     from ..functions.hashing import hash_strings as _hs
 
     def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["bucket"] = (_hs(batch["conv_id"]) % np.uint64(num_buckets)).astype(np.int32)
+        batch["bucket"] = (_hs(batch["conv_id"])
+                           % np.uint64(TURN_IDX_BUCKETS)).astype(np.int32)
         return batch
 
     def assign_turn_idx(group: pd.DataFrame) -> pd.DataFrame:

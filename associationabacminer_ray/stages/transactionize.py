@@ -36,16 +36,15 @@ from ..functions.hashing import hash_strings
 ITEM_SEP = "|"
 
 
-def make_items(batch: pd.DataFrame, role_col: str = "role", tool_col: str = "tool",
-               out_col: str = "item") -> pd.DataFrame:
+def make_items(batch: pd.DataFrame) -> pd.DataFrame:
     """role + '=' + tool → item (missing/empty → NONE, as the reference
     fills missing valid_keys, ``ConfigurableEventNormalizer.py:157-160``)."""
     # numpy where beats pandas .replace (regex machinery) ~10x on object cols
-    role = batch[role_col].fillna("NONE").to_numpy()
-    tool = batch[tool_col].fillna("NONE").to_numpy()
+    role = batch["role"].fillna("NONE").to_numpy()
+    tool = batch["tool"].fillna("NONE").to_numpy()
     role = pd.Series(np.where(role == "", "NONE", role), index=batch.index)
     tool = pd.Series(np.where(tool == "", "NONE", tool), index=batch.index)
-    return batch.assign(**{out_col: role + "=" + tool})
+    return batch.assign(item=role + "=" + tool)
 
 
 def distinct_pairs_with_bucket(batch: pd.DataFrame, conv_col: str = "conv_id",
@@ -58,15 +57,14 @@ def distinct_pairs_with_bucket(batch: pd.DataFrame, conv_col: str = "conv_id",
     return out
 
 
-def transactions_in_bucket(group: pd.DataFrame, conv_col: str = "conv_id",
-                           item_col: str = "item") -> pd.DataFrame:
+def transactions_in_bucket(group: pd.DataFrame) -> pd.DataFrame:
     """One row per conversation: sorted distinct items joined by ','.
     (FIXTURES.md §F2 — also the unique-logs dedup analog,
     ``EnvLogUniverseGenerator.py:84-104``.)"""
-    pairs = group[[conv_col, item_col]].drop_duplicates()
-    pairs = pairs.sort_values([conv_col, item_col], kind="mergesort")
-    tx = pairs.groupby(conv_col, sort=False)[item_col].agg(",".join)
-    return pd.DataFrame({conv_col: tx.index, "items": tx.to_numpy()})
+    pairs = group[["conv_id", "item"]].drop_duplicates()
+    pairs = pairs.sort_values(["conv_id", "item"], kind="mergesort")
+    tx = pairs.groupby("conv_id", sort=False)["item"].agg(",".join)
+    return pd.DataFrame({"conv_id": tx.index, "items": tx.to_numpy()})
 
 
 #: itemset codes held before they are summed (bounds the kernel's memory)

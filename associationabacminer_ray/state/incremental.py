@@ -70,6 +70,13 @@ from .checkpoint import (
 # the benchmark's 20k conversations is ~0.4 MB
 WINDOW_CACHE_BYTES = 64 << 20
 
+# every store's CMS depth, HLL precision, largest itemset and
+# transaction-size cap; they are in its config hash as before
+STORE_CMS_DEPTH = 4
+STORE_HLL_P = 14
+STORE_MAX_K = 2
+STORE_MAX_TX_ITEMS = 64
+
 
 @dataclass(frozen=True)
 class _CachedDay:
@@ -106,16 +113,16 @@ class DailySketchStore:
     module docstring for the input contract)."""
 
     def __init__(self, store_dir: str, cms_width: int = 1 << 13,
-                 cms_depth: int = 4, topk_capacity: int = 4096, hll_p: int = 14,
-                 max_k: int = 2, max_transaction_items: int | None = 64,
-                 itemset_hash: str = "sip", conv_hash: str = "sip"):
+                 topk_capacity: int = 4096, itemset_hash: str = "sip",
+                 conv_hash: str = "sip"):
         from ..pipelines.itemsets import _itemset_hash_fn
 
         self.store_dir = store_dir
         self.params = {
-            "cms_width": cms_width, "cms_depth": cms_depth,
-            "topk_capacity": topk_capacity, "hll_p": hll_p, "max_k": max_k,
-            "max_tx": max_transaction_items, "kind": "daily_itemset_sketches",
+            "cms_width": cms_width, "cms_depth": STORE_CMS_DEPTH,
+            "topk_capacity": topk_capacity, "hll_p": STORE_HLL_P,
+            "max_k": STORE_MAX_K, "max_tx": STORE_MAX_TX_ITEMS,
+            "kind": "daily_itemset_sketches",
             # part of the config hash: flipping either key-hash family
             # must invalidate (not silently reuse) existing day
             # checkpoints

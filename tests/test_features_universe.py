@@ -147,13 +147,8 @@ class TestGeneratedUniverse:
         })
         rules = pd.DataFrame({"antecedent": ["a=1"], "consequent": ["b=2"]})
         base = score_policy(tx, rules)
-        gen = score_policy(tx, rules, u_pos_override=10, universe_total=50)
         # degenerate path: uPos == uTP → precision 1
         assert base["precision"] == 1.0
-        # generated path: uFP = 10 − uTP > 0 → precision < 1
-        assert gen["u_fp"] == 10 - gen["u_tp"]
-        assert gen["precision"] == gen["u_tp"] / 10
-        assert gen["u_tn"] == 50 - (gen["u_tp"] + gen["u_fn"] + gen["u_fp"])
 
 
 class TestScorePolicyTurnsGenerated:

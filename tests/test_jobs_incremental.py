@@ -232,12 +232,16 @@ class TestIncrementalDailyStore:
 
     def test_empty_days_equal_shuffle_build(self, ray_session, tmp_path):
         from associationabacminer_ray.sketches import CountMinSketch, HyperLogLog
-        from associationabacminer_ray.state.incremental import DailySketchStore
+        from associationabacminer_ray.state.incremental import (
+            STORE_CMS_DEPTH,
+            STORE_HLL_P,
+            DailySketchStore,
+        )
 
         # 6 conversations over 4 shards: most shards have no row on most days
         paths = write_synth_transcripts(str(tmp_path / "tiny"), n_convs=6,
                                         shards=4, days=5)
-        sizes = dict(cms_width=1 << 10, topk_capacity=64, hll_p=10)
+        sizes = dict(cms_width=1 << 10, topk_capacity=64)
         store = DailySketchStore(str(tmp_path / "daily"), **sizes)
         start, end = datetime(2024, 1, 1), datetime(2024, 1, 8)
         assert store.ensure_days(paths, start, end) == 7
@@ -254,10 +258,10 @@ class TestIncrementalDailyStore:
         # the last day stored holds fresh sketches of the store's sizes
         last = store.window_sketches(end - timedelta(days=1), end)
         assert last["hll"].estimate() == 0
-        assert last["hll"].to_bytes() == HyperLogLog(p=10).to_bytes()
+        assert last["hll"].to_bytes() == HyperLogLog(p=STORE_HLL_P).to_bytes()
         assert last["topk"].capacity == 64 and last["topk"].counters == {}
-        assert last["cms"].to_bytes() == CountMinSketch(width=1 << 10,
-                                                        depth=4).to_bytes()
+        assert last["cms"].to_bytes() == CountMinSketch(
+            width=1 << 10, depth=STORE_CMS_DEPTH).to_bytes()
         # a day is a calendar day: a mid-day start would key one day's
         # transactions with rows of the next
         with pytest.raises(ValueError, match="midnight"):
@@ -637,7 +641,7 @@ class TestDailyStoreFiles:
         day2 = done[pid2]
         with open(day2, "rb") as f:
             good = f.read()
-        other = _fake_store(str(tmp_path / "other"), 3, hll_p=12)
+        other = _fake_store(str(tmp_path / "other"), 3, cms_width=1 << 12)
         stale = completed_partitions(other.store_dir, other.cfg)[pid2]
 
         def renamed_stale():

@@ -133,18 +133,6 @@ class TestGoldenRulesK3:
         assert got_map == dict(want)
         assert (got["k"] <= 3).all() and (got["k"] == 3).any()
 
-    def test_min_support_frac(self, ray_session):
-        import ray.data as rd
-
-        tbl = synth_transcripts(500, seed=23)
-        n_tx = tbl.to_pandas()["conv_id"].nunique()
-        out = exact_itemset_supports(rd.from_arrow(tbl), max_k=1, num_buckets=8,
-                                     min_support_frac=0.1).to_pandas()
-        assert (out["support"] >= np.ceil(0.1 * n_tx)).all()
-        full = exact_itemset_supports(rd.from_arrow(tbl), max_k=1,
-                                      num_buckets=8).to_pandas()
-        assert len(out) < len(full)
-
 
 class TestEmptyWindow:
     EMPTY = WindowSpec(datetime(2030, 1, 1), datetime(2030, 1, 10),

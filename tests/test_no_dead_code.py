@@ -1,5 +1,7 @@
 """Dead-code guard: every module-level function and class of the package
-must be reachable from somewhere other than its own body.
+must be reachable from somewhere other than its own body, and every
+defaulted parameter of the core modules must be set by some call
+outside ``tests/``.
 
 References are resolved through imports with ``ast`` (no code is run):
 ``from m import f``, ``import m as M`` then ``M.f``, and bare names
@@ -7,6 +9,15 @@ inside ``f``'s own module. A reference counts from the package,
 ``tests/``, ``scripts/``, ``perfbench/``, ``bench.py`` and
 ``__ray_entry__.py``. A definition only tests reach is allowed when it
 is on ``TEST_ONLY_KEEP``, with the reason it stays.
+
+Parameter calls are matched by name (``f(...)``, ``x.f(...)``,
+``Cls(...)`` for ``Cls.__init__``, ``cls(...)`` inside ``Cls``,
+``super().__init__(...)`` for the bases, ``partial(f, ...)``, Ray's
+``map_batches(f, fn_args=..., fn_kwargs=...)`` and its constructor
+twins): a call sets the parameters it names, the first
+positional ones, and all of them through ``*``/``**``. Two definitions
+of one name share their calls, so the match may miss an unused
+parameter but never fails on a used one.
 """
 
 from __future__ import annotations
@@ -143,3 +154,149 @@ def test_test_only_definitions_match_keep_list():
         f"{sorted(test_only - set(TEST_ONLY_KEEP))}; "
         f"on the keep-list but not test-only: "
         f"{sorted(set(TEST_ONLY_KEEP) - test_only)}")
+
+
+# the modules on the mining, scoring and store path
+CORE_MODULES = [f"{PKG}.{m}" for m in (
+    "pipelines.itemsets", "pipelines.rules", "pipelines.mining",
+    "pipelines.jobs", "pipelines.evaluate", "stages.transactionize",
+    "state.checkpoint", "state.incremental", "functions.windows",
+    "functions.scoring", "functions.hashing", "sketches.base",
+    "sketches.cms", "sketches.hll", "sketches.topk", "runtime",
+    "sources.transcripts")]
+
+# (module, definition, parameter) -> why a defaulted parameter that no
+# call outside the tests sets is kept
+PARAM_KEEP = {
+    ("pipelines.itemsets", "sketched_itemset_supports", "itemset_hash"):
+        "shuffle-path reference the daily store's poly itemset-hash "
+        "builds are tested against",
+    ("pipelines.itemsets", "sketched_itemset_supports", "conv_hash"):
+        "shuffle-path reference the daily store's poly conv-hash "
+        "builds are tested against",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool):
+    """``(name, positional index or None)`` of each defaulted parameter;
+    a method's index skips ``self``/``cls``."""
+    pos = fn.args.posonlyargs + fn.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    skip = 1 if is_method and not static else 0
+    first = len(pos) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _param_defs():
+    """``(module, definition, callee name) -> [(param, index)]`` of every
+    function and class in ``CORE_MODULES``; a class counts its
+    constructor (``__init__``, else its dataclass fields) and methods."""
+    out = {}
+    for mod in CORE_MODULES:
+        path = os.path.join(ROOT, *mod.split(".")) + ".py"
+        for node in ast.parse(open(path).read(), path).body:
+            short = mod[len(PKG) + 1:]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[(short, node.name, node.name)] = _defaulted(node, False)
+            elif isinstance(node, ast.ClassDef):
+                fields, has_init = [], False
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = f"{node.name}.{item.name}"
+                        callee = item.name
+                        if item.name == "__init__":
+                            has_init, callee = True, node.name
+                        out[(short, name, callee)] = _defaulted(item, True)
+                    elif (isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)):
+                        fields.append((item.target.id, item.value is not None))
+                dataclass = any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list)
+                if dataclass and not has_init and fields:
+                    out[(short, node.name, node.name)] = [
+                        (f, i) for i, (f, has_default) in enumerate(fields)
+                        if has_default]
+    return out
+
+
+def _name(expr):
+    """The name a ``Name`` or ``Attribute`` expression ends in, else None."""
+    return (expr.id if isinstance(expr, ast.Name)
+            else expr.attr if isinstance(expr, ast.Attribute) else None)
+
+
+def _calls():
+    """callee name -> ``(keywords, most positionals, any *, any **)`` over
+    every call outside ``tests/``."""
+    files = (_py_files(PKG) + _py_files("scripts") + _py_files("perfbench")
+             + _py_files("bench.py") + _py_files("__ray_entry__.py"))
+    seen = defaultdict(lambda: [set(), 0, False, False])
+
+    def record(name, args, keywords):
+        rec = seen[name]
+        rec[0].update(k.arg for k in keywords if k.arg is not None)
+        rec[1] = max(rec[1], sum(not isinstance(a, ast.Starred) for a in args))
+        rec[2] |= any(isinstance(a, ast.Starred) for a in args)
+        rec[3] |= any(k.arg is None for k in keywords)
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        if isinstance(node, ast.Call):
+            name = _name(node.func)
+            if name == "cls" and cls:
+                name = cls.name
+            if name == "__init__" and cls:
+                for base in filter(None, map(_name, cls.bases)):
+                    record(base, node.args, node.keywords)
+            target = node.args and _name(node.args[0])
+            if name == "partial" and target:
+                record(target, node.args[1:], node.keywords)
+            for kw in node.keywords if target else []:
+                v = kw.value
+                if kw.arg in ("fn_args", "fn_constructor_args"):
+                    # fn_args follow the batch, the first argument
+                    batch = [v] if kw.arg == "fn_args" else []
+                    record(target, batch + (
+                        v.elts if isinstance(v, (ast.Tuple, ast.List))
+                        else [ast.Starred(v)]), [])
+                elif kw.arg in ("fn_kwargs", "fn_constructor_kwargs"):
+                    keys = v.keys if isinstance(v, ast.Dict) else [None]
+                    record(target, [], [ast.keyword(getattr(k, "value", None))
+                                        for k in keys])
+            if name:
+                record(name, node.args, node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    for p in files:
+        visit(ast.parse(open(p).read(), p), None)
+    return seen
+
+
+def _unset_params():
+    calls = _calls()
+    unset = set()
+    for (mod, name, callee), params in _param_defs().items():
+        if (mod, name.partition(".")[0]) in TEST_ONLY_KEEP:
+            continue
+        kws, n_pos, star, dstar = calls.get(callee, (set(), 0, False, False))
+        for param, idx in params:
+            by_pos = idx is not None and (idx < n_pos or star)
+            if not (dstar or by_pos or param in kws):
+                unset.add((mod, name, param))
+    return unset
+
+
+def test_every_core_parameter_has_a_caller():
+    unset = _unset_params()
+    assert unset <= set(PARAM_KEEP), (
+        f"defaulted parameters no call outside tests sets: "
+        f"{sorted(unset - set(PARAM_KEEP))}")
+    assert set(PARAM_KEEP) <= unset, (
+        f"on PARAM_KEEP but set by a call outside tests: "
+        f"{sorted(set(PARAM_KEEP) - unset)}")

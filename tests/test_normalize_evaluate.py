@@ -65,11 +65,6 @@ class TestPolicyEvaluation:
         s2 = score_policy(TX.iloc[:0], RULES)
         assert s2["recall"] == 1.0  # nothing exercised → recall 1
 
-    def test_universe_total_fp_tn(self):
-        s = score_policy(TX, RULES, universe_total=100)
-        assert s["u_tn"] == 100 - (s["u_tp"] + s["u_fn"])
-        assert 0 <= s["accuracy"] <= 1
-
 
 class TestRbacAndMerge:
     def test_rbac_policy(self):

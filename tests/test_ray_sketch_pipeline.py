@@ -17,7 +17,6 @@ import pytest
 import associationabacminer_ray.pipelines.itemsets as P
 from associationabacminer_ray.functions.hashing import (
     hash_any,
-    hash_string_scalar,
     hash_strings,
 )
 from associationabacminer_ray.sketches import (
@@ -96,7 +95,7 @@ class TestSketchedItemsets:
         assert res["cms"].total == total
         eps_n = res["cms"].epsilon * total
         for itemset, exact in list(want.items())[:500]:
-            est = res["cms"].estimate_one(hash_string_scalar(itemset))
+            est = res["cms"].estimate_hashed(hash_strings([itemset]))[0]
             assert exact <= est <= exact + eps_n
         # top-k head matches the exact head
         exact_sorted = sorted(want.items(), key=lambda t: (-t[1], t[0]))

@@ -153,47 +153,52 @@ def test_turn_weighted_supports_distinguish_freq_family(ray_session):
     assert differs.any()
 
 
-def test_itemset_limit_and_coverage_denominator(ray_session):
+def test_exact_tail_blocks_size_without_error(ray_session):
+    """A bucket whose itemsets all fall under min_support leaves an empty
+    block; Ray must size every block of the exact tail without logging
+    an error (an empty pandas object column breaks its size estimate)."""
+    import logging
+
+    import ray
     import ray.data as rd
+    from ray.data.block import BlockAccessor
 
-    from associationabacminer_ray.pipelines.itemsets import exact_itemset_supports
-    from associationabacminer_ray.sources.transcripts import synth_transcripts
+    from associationabacminer_ray.pipelines.itemsets import (
+        merge_exact_itemset_partials,
+    )
 
-    tbl = synth_transcripts(400, seed=41)
-    limited = exact_itemset_supports(rd.from_arrow(tbl), max_k=2, num_buckets=8,
-                                     itemset_limit=10).to_pandas()
-    full = exact_itemset_supports(rd.from_arrow(tbl), max_k=2,
-                                  num_buckets=8).to_pandas()
-    assert len(limited) == 10
-    assert limited["support"].min() >= full["support"].nlargest(11).iloc[-1] - 1
+    items = [f"tool=t{i:02d}" for i in range(40)] + ["tool=t00"]
+    df = pd.DataFrame({"itemset": items,
+                       "count": np.ones(len(items), dtype=np.int64)})
+    # 8 blocks make 8 shuffle partitions, all but one under min_support
+    partials = rd.from_pandas([df.iloc[i::8] for i in range(8)])
+    out = merge_exact_itemset_partials(partials, 8, min_support=2).materialize()
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref in bundle.block_refs]
+    assert any(BlockAccessor.for_block(b).num_rows() == 0 for b in blocks)
 
-    # coverage denominator switch — threaded through rules_from_supports;
-    # conversation-denominated metrics keep conv units (no unit mixing)
-    sup = pd.DataFrame({"itemset": ["a", "b", "a|b"], "k": [1, 1, 2],
-                        "support": [10, 6, 5], "turn_support": [100, 60, 50]})
-    turns_rules = rules_from_supports(sup, n_transactions=20,
-                                      coverage_denominator="turns",
-                                      total_turns=200)
-    conv_rules = rules_from_supports(sup, n_transactions=20)
-    row_t = turns_rules.set_index(["antecedent", "consequent"]).loc[("a", "b")]
-    row_c = conv_rules.set_index(["antecedent", "consequent"]).loc[("a", "b")]
-    assert row_t["coverage"] == pytest.approx(50 / 200)
-    # the switched coverage feeds the whole family (reference :143-156)
-    overR = 1 - (10 - 5) / 20
-    covR = 50 / 200
-    assert row_t["harmonic_mean"] == pytest.approx(
-        2 * overR * covR / (overR + covR))
-    # conv-denominated metrics unchanged: no unit mixing
-    assert row_t["lift"] == row_c["lift"]
-    assert row_t["confidence"] == row_c["confidence"]
-    assert row_t["l_dist_ref"] == row_c["l_dist_ref"]
-    with pytest.raises(ValueError, match="total_turns"):
-        S.score_columns(turns_rules.copy(), n_transactions=20,
-                        coverage_denominator="turns")
-    no_turns = conv_rules.drop(columns=["support_ab_turns"])
-    with pytest.raises(ValueError, match="turn-weighted"):
-        S.score_columns(no_turns, n_transactions=20,
-                        coverage_denominator="turns", total_turns=200)
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    handler = Collect()
+    logger = logging.getLogger("ray.data._internal.pandas_block")
+    logger.addHandler(handler)
+    try:
+        for b in blocks:
+            BlockAccessor.for_block(b).size_bytes()
+    finally:
+        logger.removeHandler(handler)
+    assert handler.messages == []
+    got = out.to_pandas()
+    assert got.to_dict("records") == [
+        {"itemset": "tool=t00", "k": 1, "support": 2}]
+    assert got.dtypes.astype(str).to_dict() == {
+        "itemset": "object", "k": "int32", "support": "int64"}
 
 
 def test_roc_table():
@@ -215,17 +220,3 @@ def test_roc_table():
     assert "recall" in roc_table(df2).columns
     with pytest.raises(ValueError, match="missing column"):
         roc_table(pd.DataFrame({"beta": [1.0]}))
-
-
-def test_itemset_limit_zero_means_no_cap(ray_session):
-    import ray.data as rd
-
-    from associationabacminer_ray.pipelines.itemsets import exact_itemset_supports
-    from associationabacminer_ray.sources.transcripts import synth_transcripts
-
-    tbl = synth_transcripts(200, seed=43)
-    capped = exact_itemset_supports(rd.from_arrow(tbl), max_k=1, num_buckets=4,
-                                    itemset_limit=0).to_pandas()
-    full = exact_itemset_supports(rd.from_arrow(tbl), max_k=1,
-                                  num_buckets=4).to_pandas()
-    assert len(capped) == len(full)  # 0 = disabled, matching the reference gate
